@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"github.com/hdr4me/hdr4me/internal/dist"
+	"github.com/hdr4me/hdr4me/internal/est"
 	"github.com/hdr4me/hdr4me/internal/exps"
 	"github.com/hdr4me/hdr4me/internal/highdim"
 	"github.com/hdr4me/hdr4me/internal/ldp"
@@ -296,6 +297,77 @@ func BenchmarkPerturb_Duchi(b *testing.B)      { benchPerturb(b, Duchi()) }
 func BenchmarkPerturb_Hybrid(b *testing.B)     { benchPerturb(b, Hybrid()) }
 func BenchmarkPerturb_Staircase(b *testing.B)  { benchPerturb(b, Staircase()) }
 func BenchmarkPerturb_SCDF(b *testing.B)       { benchPerturb(b, SCDF()) }
+
+// ---- Micro-benchmarks: the collector read path -------------------------------
+
+// benchReadSession builds a session from spec (L1 enhancement on) and
+// ingests reports perturbed from uniform tuples, so the reads below run on
+// realistic per-dimension counts.
+func benchReadSession(b *testing.B, spec QuerySpec, reports int) *Session {
+	b.Helper()
+	s, err := NewFromSpec(spec, WithEnhance(DefaultEnhanceConfig(RegL1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	reporter := s.Estimator().(est.Reporter)
+	rng := mathx.NewRNG(5)
+	var t Tuple
+	if spec.Kind == KindFreq {
+		t.Cats = make([]int, len(spec.Cards))
+	} else {
+		t.Values = make([]float64, spec.D)
+	}
+	for i := 0; i < reports; i++ {
+		for j := range t.Values {
+			t.Values[j] = rng.Uniform(-1, 1)
+		}
+		for j, c := range spec.Cards {
+			t.Cats[j] = rng.IntN(c)
+		}
+		rep, err := reporter.MakeReport(t, rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.AddReport(rep); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return s
+}
+
+// benchReadSink keeps the timed reads observable to the compiler.
+var benchReadSink []float64
+
+// benchRead times one read of the session: the HDR4ME-enhanced estimate,
+// or (enhanced false) the naive Estimate baseline it is compared against.
+func benchRead(b *testing.B, spec QuerySpec, reports int, enhanced bool) {
+	s := benchReadSession(b, spec, reports)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !enhanced {
+			benchReadSink = s.Estimate()
+			continue
+		}
+		var err error
+		if benchReadSink, err = s.EstimateEnhanced(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+var (
+	benchSpecSW256 = QuerySpec{Kind: KindMean, Mech: "squarewave", Eps: 4, D: 256, M: 8}
+	benchSpecLap32 = QuerySpec{Kind: KindMean, Mech: "laplace", Eps: 2, D: 32, M: 4}
+	benchSpecFreq  = QuerySpec{Kind: KindFreq, Mech: "piecewise", Eps: 2, Cards: []int{8, 8, 8, 8}, M: 2}
+)
+
+func BenchmarkEnhanced_SquareWave256(b *testing.B) { benchRead(b, benchSpecSW256, 20_000, true) }
+func BenchmarkEstimate_SquareWave256(b *testing.B) { benchRead(b, benchSpecSW256, 20_000, false) }
+func BenchmarkEnhanced_Laplace32(b *testing.B)     { benchRead(b, benchSpecLap32, 20_000, true) }
+func BenchmarkEstimate_Laplace32(b *testing.B)     { benchRead(b, benchSpecLap32, 20_000, false) }
+func BenchmarkEnhanced_Freq(b *testing.B)          { benchRead(b, benchSpecFreq, 20_000, true) }
+func BenchmarkEstimate_Freq(b *testing.B)          { benchRead(b, benchSpecFreq, 20_000, false) }
 
 func BenchmarkSimulateRound(b *testing.B) {
 	ds := Memoize(NewGaussianDataset(10_000, 100, 3))

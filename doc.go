@@ -34,8 +34,11 @@
 // reuses per-connection scratch so the steady-state batch loop allocates
 // nothing. Reads fold the stripes atomically in a fixed order, so
 // striping is externally invisible — a single connection's ingest is
-// bitwise-identical to the serial path. See the README's Performance
-// section for measured numbers.
+// bitwise-identical to the serial path. Reads stay cheap as well: the
+// enhanced estimate memoizes the §IV moments when the query is built and
+// evaluates the confidence quantile once per request, so each ENHANCED
+// request costs O(d) arithmetic over the live counts. See the README's
+// Performance section for measured numbers.
 //
 // One collector serves many concurrent analytics: a Registry of named
 // queries (each a QuerySpec-built estimator with an open → sealed →

@@ -147,6 +147,47 @@ func (d Deviation) SupAbs(conf float64) float64 {
 	return math.Abs(d.Delta) + mathx.SymmetricQuantile(conf, d.Sigma())
 }
 
+// SupAbsAt is SupAbs with the standard-normal quantile z = Φ⁻¹((1+conf)/2)
+// already evaluated: |δⱼ| + σⱼ·z. For conf in (0, 1) it equals
+// SupAbs(conf) bit for bit, so a caller bounding many dimensions at one
+// confidence evaluates the quantile once.
+func (d Deviation) SupAbsAt(z float64) float64 {
+	return math.Abs(d.Delta) + d.Sigma()*z
+}
+
+// Moments is the report-count-free half of the Lemma 2/3 Gaussian: the
+// residual bias δⱼ and the per-report variance Σ_z p_z Var(v_z) before
+// the division by r. It depends only on the mechanism, the budget and the
+// data model, so a collector computes it once and re-weights it by the
+// live report count on every read.
+type Moments struct {
+	Delta float64
+	Var   float64
+}
+
+// At returns the deviation Gaussian for r reports: δⱼ and Var/r.
+func (m Moments) At(r float64) Deviation { return Deviation{Delta: m.Delta, Sigma2: m.Var / r} }
+
+// AtomMoments caches a mechanism's bias δ(v) and variance Var(v) at a
+// fixed set of spec atoms under one budget — the expensive half of
+// Lemma 3, independent of the atom probabilities.
+type AtomMoments struct {
+	Bias []float64
+	Var  []float64
+}
+
+// Mix applies Lemma 3's data mixture over the cached atoms:
+// δ = Σ_z p_z δ(v_z) and Σ_z p_z Var(v_z), each a compensated sum in atom
+// order. probs must be as long as the atom list.
+func (a AtomMoments) Mix(probs []float64) Moments {
+	var db, vb mathx.KahanSum
+	for z, p := range probs {
+		db.Add(p * a.Bias[z])
+		vb.Add(p * a.Var[z])
+	}
+	return Moments{Delta: db.Value(), Var: vb.Value()}
+}
+
 // Framework evaluates the §IV framework for one mechanism at a given
 // per-dimension budget ε/m and expected report count r = n·m/d.
 type Framework struct {
@@ -159,33 +200,34 @@ type Framework struct {
 // for one dimension. spec may be nil for unbounded mechanisms; bounded
 // mechanisms require it and panic otherwise (the framework cannot be
 // evaluated without a data model when moments depend on the data).
-func (f Framework) Deviation(spec *DataSpec) Deviation {
+func (f Framework) Deviation(spec *DataSpec) Deviation { return f.Moments(spec).At(f.R) }
+
+// Moments returns the report-count-free half of Deviation (R is ignored):
+// Lemma 2's δ = E[N] and Var[N], or Lemma 3's mixture over spec. spec
+// follows the Deviation contract.
+func (f Framework) Moments(spec *DataSpec) Moments {
 	if !f.Mech.Bounded() {
 		// Lemma 2: δ = E[N], σ² = Var[N]/r, independent of the data.
-		return Deviation{
-			Delta:  f.Mech.Bias(0, f.EpsPerDim),
-			Sigma2: f.Mech.Var(0, f.EpsPerDim) / f.R,
-		}
+		return Moments{Delta: f.Mech.Bias(0, f.EpsPerDim), Var: f.Mech.Var(0, f.EpsPerDim)}
 	}
 	if spec == nil {
 		panic(fmt.Sprintf("analysis: %s is bounded; Lemma 3 needs a DataSpec", f.Mech.Name()))
 	}
-	return f.deviationDiscrete(*spec)
-}
-
-// deviationDiscrete applies Lemma 3: δⱼ = Σ_z p_z δ(v_z) and
-// σⱼ² = (Σ_z p_z Var(v_z))/r.
-func (f Framework) deviationDiscrete(spec DataSpec) Deviation {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	var db, vb mathx.KahanSum
-	for z, v := range spec.Values {
-		p := spec.Probs[z]
-		db.Add(p * f.Mech.Bias(v, f.EpsPerDim))
-		vb.Add(p * f.Mech.Var(v, f.EpsPerDim))
+	return f.Atoms(spec.Values).Mix(spec.Probs)
+}
+
+// Atoms evaluates the mechanism's bias and variance at each spec value
+// under the framework budget (Lemma 3's per-atom moments).
+func (f Framework) Atoms(values []float64) AtomMoments {
+	a := AtomMoments{Bias: make([]float64, len(values)), Var: make([]float64, len(values))}
+	for z, v := range values {
+		a.Bias[z] = f.Mech.Bias(v, f.EpsPerDim)
+		a.Var[z] = f.Mech.Var(v, f.EpsPerDim)
 	}
-	return Deviation{Delta: db.Value(), Sigma2: vb.Value() / f.R}
+	return a
 }
 
 // WorstCaseDeviation returns the data-free upper envelope of the Lemma 3

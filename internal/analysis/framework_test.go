@@ -172,3 +172,39 @@ func TestDeviationProbWithinAndSup(t *testing.T) {
 		t.Errorf("PDF(0) = %v", p)
 	}
 }
+
+// TestDeviationKeepsBits pins Deviation, now the composition of Atoms,
+// Mix and At, to the single Lemma 2/3 loop it replaced, bit for bit, on
+// the case-study spec and a sampled spec for every registered mechanism.
+func TestDeviationKeepsBits(t *testing.T) {
+	rng := mathx.NewRNG(3)
+	samples := make([]float64, 500)
+	for i := range samples {
+		samples[i] = mathx.Clamp(rng.Normal(0.2, 0.4), -1, 1)
+	}
+	specs := map[string]DataSpec{"case-study": CaseStudySpec(), "sampled": SpecFromSamples(samples, 10)}
+	for name, mech := range ldp.Registry() {
+		for specName, spec := range specs {
+			for _, eps := range []float64{0.1, 0.5, 2} {
+				fw := Framework{Mech: mech, EpsPerDim: eps, R: 1234}
+				want := Deviation{Delta: mech.Bias(0, eps), Sigma2: mech.Var(0, eps) / fw.R}
+				if mech.Bounded() {
+					var db, vb mathx.KahanSum
+					for z, v := range spec.Values {
+						db.Add(spec.Probs[z] * mech.Bias(v, eps))
+						vb.Add(spec.Probs[z] * mech.Var(v, eps))
+					}
+					want = Deviation{Delta: db.Value(), Sigma2: vb.Value() / fw.R}
+				}
+				got := fw.Deviation(&spec)
+				if math.Float64bits(got.Delta) != math.Float64bits(want.Delta) ||
+					math.Float64bits(got.Sigma2) != math.Float64bits(want.Sigma2) {
+					t.Errorf("%s %s ε=%v: Deviation %+v, reference %+v", name, specName, eps, got, want)
+				}
+				if z := mathx.StdNormQuantile((1 + 0.99) / 2); math.Float64bits(got.SupAbsAt(z)) != math.Float64bits(got.SupAbs(0.99)) {
+					t.Errorf("%s %s ε=%v: SupAbsAt %v != SupAbs %v", name, specName, eps, got.SupAbsAt(z), got.SupAbs(0.99))
+				}
+			}
+		}
+	}
+}

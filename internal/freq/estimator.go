@@ -264,9 +264,18 @@ func (f *Flat) EstimateWeighted(sums, counts []float64) ([]float64, error) {
 }
 
 // Enhanced implements est.Enhancer: the flattened HDR4ME re-calibrated
-// frequencies under the bound configuration.
-func (f *Flat) Enhanced() ([]float64, error) {
-	_, enhanced := f.Aggregator.EstimateEnhanced(f.Cfg)
+// frequencies under the bound configuration. It works from one Snapshot
+// so the estimate and the counts weighting its deviations come from the
+// same instant even while reports stream in.
+func (f *Flat) Enhanced() ([]float64, error) { return f.EnhancedFrom(f.Snapshot()) }
+
+// EnhancedFrom re-calibrates the naive frequencies of a snapshot of this
+// (or an identically configured) collector under the bound configuration.
+func (f *Flat) EnhancedFrom(s est.Snapshot) ([]float64, error) {
+	if err := est.CheckMerge(f, s, f.total, len(f.Aggregator.P.Cards)); err != nil {
+		return nil, err
+	}
+	_, enhanced := f.Aggregator.enhanceFold(s.Sums, s.Counts, f.Cfg)
 	return f.flatten(enhanced), nil
 }
 

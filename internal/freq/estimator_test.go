@@ -124,3 +124,67 @@ func TestFlatObserveValidatesTuple(t *testing.T) {
 		t.Fatal("out-of-range category accepted")
 	}
 }
+
+// TestFlatEnhancedFromIsOneInstant enhances a snapshot after more reports
+// have landed: the result must be the one a fresh collector holding only
+// that snapshot computes, so sums and the counts weighting their
+// deviations never come from different instants.
+func TestFlatEnhancedFromIsOneInstant(t *testing.T) {
+	cards := []int{3, 4, 2}
+	for _, mech := range []ldp.Mechanism{ldp.Laplace{}, ldp.SquareWave{}} {
+		p := Protocol{Mech: mech, Eps: 2, Cards: cards, M: 2}
+		f, err := NewFlat(p, recal.Config{Reg: recal.RegL2, Conf: 0.95, L2Floor: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := mathx.NewRNG(23)
+		cats := make([]int, len(cards))
+		observe := func(n int) {
+			for i := 0; i < n; i++ {
+				for j, c := range cards {
+					cats[j] = rng.IntN(c)
+				}
+				if err := f.Observe(est.Tuple{Cats: cats}, rng); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		observe(400)
+		snap := f.Snapshot()
+		observe(400)
+		got, err := f.EnhancedFrom(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := NewFlat(p, f.Cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Merge(snap); err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Enhanced()
+		if err != nil {
+			t.Fatal(err)
+		}
+		live, err := f.Enhanced()
+		if err != nil {
+			t.Fatal(err)
+		}
+		same := true
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s entry %d: EnhancedFrom %v, snapshot-only reference %v", mech.Name(), i, got[i], want[i])
+			}
+			same = same && live[i] == got[i]
+		}
+		if same {
+			t.Fatalf("%s: live Enhanced equals the stale snapshot's; later reports were not seen", mech.Name())
+		}
+		bad := snap
+		bad.Sums = bad.Sums[1:]
+		if _, err := f.EnhancedFrom(bad); err == nil {
+			t.Fatalf("%s: mis-shaped snapshot accepted", mech.Name())
+		}
+	}
+}

@@ -110,7 +110,18 @@ type Aggregator struct {
 	offsets []int // flattened index of each dimension's first entry
 	total   int   // Σⱼ card(j)
 	acc     *est.Stripes
+
+	// The §IV moments EstimateEnhanced weights by the live counts, fixed
+	// at construction and read without a lock: the mechanism's bias and
+	// variance at the entry atoms {−1, +1} under ε/(2m) (bounded), or the
+	// data-free Lemma 2 pair (unbounded).
+	atoms     analysis.AtomMoments
+	unbounded analysis.Moments
 }
+
+// entryAtoms are the released-frame values of a one-hot entry (0 ↦ −1,
+// 1 ↦ +1): the two atoms of the plug-in spec EstimateEnhanced builds.
+var entryAtoms = []float64{-1, 1}
 
 // NewAggregator returns an empty frequency collector.
 func NewAggregator(p Protocol) *Aggregator {
@@ -120,6 +131,12 @@ func NewAggregator(p Protocol) *Aggregator {
 		a.total += v
 	}
 	a.acc = est.NewStripes(est.DefaultStripeCount, a.total, len(p.Cards))
+	fw := analysis.Framework{Mech: p.Mech, EpsPerDim: p.EpsPerEntry()}
+	if p.Mech.Bounded() {
+		a.atoms = fw.Atoms(entryAtoms)
+	} else {
+		a.unbounded = fw.Moments(nil)
+	}
 	return a
 }
 
@@ -139,9 +156,9 @@ func (a *Aggregator) merge(sums [][]mathx.KahanSum, counts []int64) {
 // Counts returns the per-dimension report counts.
 func (a *Aggregator) Counts() []int64 { return a.acc.FoldCounts() }
 
-// rawMeans returns the per-entry naive means in the released frame.
-func (a *Aggregator) rawMeans() [][]float64 {
-	sums, counts := a.acc.Fold()
+// meansOf maps folded released-frame sums and counts to per-entry naive
+// means in the released frame (zero for a dimension without reports).
+func (a *Aggregator) meansOf(sums []float64, counts []int64) [][]float64 {
 	out := make([][]float64, len(a.P.Cards))
 	for j, card := range a.P.Cards {
 		out[j] = make([]float64, card)
@@ -159,7 +176,7 @@ func (a *Aggregator) rawMeans() [][]float64 {
 // Estimate returns the naive frequency estimates: per-entry released-frame
 // means mapped back to [0, 1], without simplex projection.
 func (a *Aggregator) Estimate() [][]float64 {
-	means := a.rawMeans()
+	means := a.meansOf(a.acc.Fold())
 	for j := range means {
 		for k := range means[j] {
 			means[j][k] = (means[j][k] + 1) / 2
@@ -176,13 +193,19 @@ func (a *Aggregator) Estimate() [][]float64 {
 // of frequency vectors. Deviations follow Lemma 2/3 with a plug-in two-atom
 // spec per entry ({−1, +1} weighted by the entry's estimated frequency) for
 // bounded mechanisms. Both the naive and enhanced estimates are returned so
-// callers can compare.
+// callers can compare; both come from one fold of the stripes.
 func (a *Aggregator) EstimateEnhanced(cfg recal.Config) (naive, enhanced [][]float64) {
-	means := a.rawMeans()
-	counts := a.Counts()
+	sums, counts := a.acc.Fold()
+	return a.enhanceFold(sums, counts, cfg)
+}
+
+// enhanceFold is EstimateEnhanced over one folded instant: released-frame
+// sums (flattened) and per-dimension counts. Only the per-entry mixture
+// and the prox step run here; the mechanism moments are memoized.
+func (a *Aggregator) enhanceFold(sums []float64, counts []int64, cfg recal.Config) (naive, enhanced [][]float64) {
+	means := a.meansOf(sums, counts)
 	naive = make([][]float64, len(means))
 	enhanced = make([][]float64, len(means))
-	epsEntry := a.P.EpsPerEntry()
 	for j := range means {
 		naive[j] = make([]float64, len(means[j]))
 		for k := range means[j] {
@@ -193,17 +216,14 @@ func (a *Aggregator) EstimateEnhanced(cfg recal.Config) (naive, enhanced [][]flo
 			enhanced[j] = mathx.Clone(naive[j])
 			continue
 		}
-		fw := analysis.Framework{Mech: a.P.Mech, EpsPerDim: epsEntry, R: r}
 		devs := make([]analysis.Deviation, len(means[j]))
 		for k := range devs {
-			var dev analysis.Deviation
-			if !a.P.Mech.Bounded() {
-				dev = fw.Deviation(nil)
-			} else {
+			mom := a.unbounded
+			if a.P.Mech.Bounded() {
 				f := mathx.Clamp(naive[j][k], 1/(10*float64(len(means[j]))), 1)
-				spec := analysis.DataSpec{Values: []float64{-1, 1}, Probs: []float64{1 - f, f}}
-				dev = fw.Deviation(&spec)
+				mom = a.atoms.Mix([]float64{1 - f, f})
 			}
+			dev := mom.At(r)
 			// Map the released-frame Gaussian into the frequency frame:
 			// f = (y+1)/2 halves the bias and quarters the variance.
 			devs[k] = analysis.Deviation{Delta: dev.Delta / 2, Sigma2: dev.Sigma2 / 4}

@@ -18,6 +18,7 @@ import (
 	"math"
 
 	"github.com/hdr4me/hdr4me/internal/analysis"
+	"github.com/hdr4me/hdr4me/internal/mathx"
 )
 
 // Reg selects the regularization flavor.
@@ -101,20 +102,26 @@ func L1Lambda(dev analysis.Deviation, conf float64) float64 {
 // mechanisms (δⱼ = 0) the weight diverges and Shrink sends the coordinate to
 // zero — exactly the saturation the paper reports on Figs. 4(g,h,j,k)/5.
 func L2LambdaPaper(dev analysis.Deviation, conf float64) float64 {
-	if dev.Delta == 0 {
-		return math.Inf(1)
-	}
-	return dev.SupAbs(conf) / (2 * math.Abs(dev.Delta))
+	return l2Weight(dev, dev.SupAbs(conf), 0)
 }
 
 // L2LambdaFloored is the ablation variant: the reference mean is floored at
 // floor > 0 so the weight stays finite even for unbiased mechanisms.
 func L2LambdaFloored(dev analysis.Deviation, conf, floor float64) float64 {
+	return l2Weight(dev, dev.SupAbs(conf), floor)
+}
+
+// l2Weight is the Lemma 5 weight sup/(2·max(|δⱼ|, floor)) for a
+// precomputed sup; with no floor an unbiased deviation diverges.
+func l2Weight(dev analysis.Deviation, sup, floor float64) float64 {
+	if floor <= 0 && dev.Delta == 0 {
+		return math.Inf(1)
+	}
 	ref := math.Abs(dev.Delta)
 	if ref < floor {
 		ref = floor
 	}
-	return dev.SupAbs(conf) / (2 * ref)
+	return sup / (2 * ref)
 }
 
 // Config parameterizes one HDR4ME application.
@@ -154,14 +161,20 @@ func (c Config) threshold() float64 {
 
 // Lambda computes the per-dimension regularization weight for deviation dev.
 func (c Config) Lambda(dev analysis.Deviation) float64 {
+	return c.lambda(dev, dev.SupAbs(c.conf()))
+}
+
+// quantile returns z = Φ⁻¹((1+conf)/2), the factor turning σⱼ into the
+// sup-deviation quantile; Enhance evaluates it once per call.
+func (c Config) quantile() float64 { return mathx.StdNormQuantile((1 + c.conf()) / 2) }
+
+// lambda is Lambda for a precomputed sup|θ̂ⱼ − θ̄ⱼ|.
+func (c Config) lambda(dev analysis.Deviation, sup float64) float64 {
 	switch c.Reg {
 	case RegL1:
-		return L1Lambda(dev, c.conf())
+		return sup
 	case RegL2:
-		if c.L2Floor > 0 {
-			return L2LambdaFloored(dev, c.conf(), c.L2Floor)
-		}
-		return L2LambdaPaper(dev, c.conf())
+		return l2Weight(dev, sup, c.L2Floor)
 	default:
 		return 0
 	}
@@ -169,7 +182,9 @@ func (c Config) Lambda(dev analysis.Deviation) float64 {
 
 // Enhance re-calibrates the naive estimate est given per-dimension framework
 // deviations devs (len(devs) must be 1 — shared by all dimensions — or
-// len(est)). It returns a new slice; est is never modified.
+// len(est)). It returns a new slice; est is never modified. The
+// confidence quantile is evaluated once, so the cost is a handful of
+// arithmetic operations per dimension.
 func Enhance(est []float64, devs []analysis.Deviation, cfg Config) []float64 {
 	if cfg.Reg == RegNone {
 		out := make([]float64, len(est))
@@ -179,20 +194,19 @@ func Enhance(est []float64, devs []analysis.Deviation, cfg Config) []float64 {
 	if len(devs) != 1 && len(devs) != len(est) {
 		panic(fmt.Sprintf("recal: %d deviations for %d dims", len(devs), len(est)))
 	}
-	devAt := func(j int) analysis.Deviation {
-		if len(devs) == 1 {
-			return devs[0]
-		}
-		return devs[j]
-	}
+	z := cfg.quantile()
 	lambda := make([]float64, len(est))
 	for j := range est {
-		dev := devAt(j)
-		if cfg.Guarded && dev.SupAbs(cfg.conf()) <= cfg.threshold() {
+		dev := devs[0]
+		if len(devs) > 1 {
+			dev = devs[j]
+		}
+		sup := dev.SupAbsAt(z)
+		if cfg.Guarded && sup <= cfg.threshold() {
 			lambda[j] = lambdaIdentity(cfg.Reg)
 			continue
 		}
-		lambda[j] = cfg.Lambda(dev)
+		lambda[j] = cfg.lambda(dev, sup)
 	}
 	switch cfg.Reg {
 	case RegL1:

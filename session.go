@@ -407,7 +407,7 @@ func buildEstimator(c *sessionConfig) (Estimator, error) {
 		if c.enhance != nil {
 			cfg = *c.enhance
 		}
-		return &meanEnhancer{Aggregator: agg, cfg: cfg}, nil
+		return newMeanEnhancer(agg, cfg), nil
 	}
 }
 
@@ -510,7 +510,7 @@ func (s *Session) EstimateEnhanced() ([]float64, error) {
 func (s *Session) EstimateEnhancedWith(cfg EnhanceConfig) ([]float64, error) {
 	switch e := s.est.(type) {
 	case *meanEnhancer:
-		return (&meanEnhancer{Aggregator: e.Aggregator, cfg: cfg}).Enhanced()
+		return e.withConfig(cfg).Enhanced()
 	case *freq.Flat:
 		rebound := *e
 		rebound.Cfg = cfg
@@ -730,7 +730,7 @@ func (s *Session) Run(ctx context.Context, src Source) (*Result, error) {
 			return nil, err
 		}
 		if s.cfg.enhance != nil {
-			if res.Enhanced, err = e.Enhanced(); err != nil {
+			if res.Enhanced, err = e.EnhancedFrom(snap); err != nil {
 				return nil, err
 			}
 		}
@@ -762,6 +762,45 @@ func (s *Session) Run(ctx context.Context, src Source) (*Result, error) {
 type meanEnhancer struct {
 	*highdim.Aggregator
 	cfg recal.Config
+	// moments memoizes the report-count-free Lemma 2/3 moments: one entry
+	// shared by every dimension under uniform allocation, else one per
+	// dimension (computed once per distinct εⱼ). Immutable after
+	// construction, so reads take no lock.
+	moments []analysis.Moments
+}
+
+// newMeanEnhancer derives the aggregator's moments once; every read then
+// only divides them by the live report counts.
+func newMeanEnhancer(agg *highdim.Aggregator, cfg recal.Config) *meanEnhancer {
+	mech := agg.P.Mech
+	var spec *analysis.DataSpec
+	if mech.Bounded() {
+		grid := UniformGridSpec(21)
+		spec = &grid
+	}
+	byEps := map[float64]analysis.Moments{}
+	momentsAt := func(eps float64) analysis.Moments {
+		m, ok := byEps[eps]
+		if !ok {
+			m = analysis.Framework{Mech: mech, EpsPerDim: eps}.Moments(spec)
+			byEps[eps] = m
+		}
+		return m
+	}
+	moments := make([]analysis.Moments, agg.P.D)
+	for j := range moments {
+		moments[j] = momentsAt(agg.EpsFor(j))
+	}
+	if len(byEps) == 1 {
+		moments = []analysis.Moments{moments[0]}
+	}
+	return &meanEnhancer{Aggregator: agg, cfg: cfg, moments: moments}
+}
+
+// withConfig returns the same aggregator and memo under another
+// configuration: the moments do not depend on it.
+func (m *meanEnhancer) withConfig(cfg recal.Config) *meanEnhancer {
+	return &meanEnhancer{Aggregator: m.Aggregator, cfg: cfg, moments: m.moments}
 }
 
 // Enhanced implements the est.Enhancer interface. It works from one
@@ -778,23 +817,17 @@ func (m *meanEnhancer) enhancedFrom(snap Snapshot) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	mech := m.Aggregator.P.Mech
-	var spec analysis.DataSpec
-	if mech.Bounded() {
-		spec = UniformGridSpec(21)
-	}
 	devs := make([]analysis.Deviation, len(naive))
 	for j := range devs {
 		r := float64(snap.Counts[j])
 		if r < 1 {
 			r = 1
 		}
-		fw := analysis.Framework{Mech: mech, EpsPerDim: m.Aggregator.EpsFor(j), R: r}
-		if mech.Bounded() {
-			devs[j] = fw.Deviation(&spec)
-		} else {
-			devs[j] = fw.Deviation(nil)
+		mom := m.moments[0]
+		if len(m.moments) > 1 {
+			mom = m.moments[j]
 		}
+		devs[j] = mom.At(r)
 	}
 	return recal.Enhance(naive, devs, m.cfg), nil
 }
