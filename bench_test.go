@@ -369,6 +369,46 @@ func BenchmarkEstimate_Laplace32(b *testing.B)     { benchRead(b, benchSpecLap32
 func BenchmarkEnhanced_Freq(b *testing.B)          { benchRead(b, benchSpecFreq, 20_000, true) }
 func BenchmarkEstimate_Freq(b *testing.B)          { benchRead(b, benchSpecFreq, 20_000, false) }
 
+// ---- Micro-benchmarks: the client report path --------------------------------
+
+// benchReportSink keeps the timed reports observable to the compiler.
+var benchReportSink Report
+
+// benchReport times Session.Report, the user-device half of the
+// pipeline: one pooled RNG reseeded on the report's substream, an O(m)
+// dimension sample and m fixed-ε perturbations. Only the returned Dims
+// and Values should allocate.
+func benchReport(b *testing.B, spec QuerySpec) {
+	s, err := NewFromSpec(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := mathx.NewRNG(5)
+	var t Tuple
+	if spec.Kind == KindFreq {
+		t.Cats = make([]int, len(spec.Cards))
+		for j, c := range spec.Cards {
+			t.Cats[j] = rng.IntN(c)
+		}
+	} else {
+		t.Values = make([]float64, spec.D)
+		for j := range t.Values {
+			t.Values[j] = rng.Uniform(-1, 1)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if benchReportSink, err = s.Report(t); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkReport_SquareWave256(b *testing.B) { benchReport(b, benchSpecSW256) }
+func BenchmarkReport_Laplace32(b *testing.B)     { benchReport(b, benchSpecLap32) }
+func BenchmarkReport_Freq(b *testing.B)          { benchReport(b, benchSpecFreq) }
+
 func BenchmarkSimulateRound(b *testing.B) {
 	ds := Memoize(NewGaussianDataset(10_000, 100, 3))
 	p, err := NewProtocol(Piecewise(), 1, 100, 100)

@@ -50,6 +50,15 @@
 // sides: NewFromSpec builds a Session whose Report perturbs on the user's
 // device while the collector's spec-built estimator aggregates.
 //
+// Reports are deterministic: the i-th Report or Observe of a session
+// depends only on the session's seed and on i — never on timing, on
+// which goroutine made the call, or on the reports before it. Report i
+// draws from the i-th child of the seed's observation substream (a
+// pooled RNG reseeded in place), samples its m dimensions in O(m), and
+// perturbs each through the mechanism bound once to that dimension's
+// budget. Concurrent callers therefore produce a permutation of the
+// sequential stream, and only the returned Dims and Values allocate.
+//
 // Collector state is durable: WithStateDir + Session.SaveCheckpoint /
 // RestoreCheckpoint (and, for multi-query collectors,
 // SaveCollectorState / RestoreCollectorState wired to the server's

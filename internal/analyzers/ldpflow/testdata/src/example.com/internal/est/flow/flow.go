@@ -109,3 +109,26 @@ func LogSuppressed(t Tuple) {
 func LogLen(t Tuple) {
 	fmt.Println(len(t.Values))
 }
+
+// Fixed mirrors ldp.Fixed: a mechanism bound to one budget, perturbing
+// through an interface method named Perturb.
+type Fixed interface {
+	Perturb(v float64) float64
+}
+
+// MakeReportFixed is the client half over per-dimension fixed-budget
+// forms: every released value passes Perturb, so it is clean.
+func MakeReportFixed(forms []Fixed, t Tuple) Report {
+	rep := Report{Values: make([]float64, len(t.Values))}
+	for i, v := range t.Values {
+		rep.Values[i] = forms[i].Perturb(v)
+	}
+	return rep
+}
+
+// LeakReportFixed releases the raw value beside the perturbed one.
+func LeakReportFixed(f Fixed, t Tuple) Report {
+	rep := Report{Values: make([]float64, 0, 2)}
+	rep.Values = append(rep.Values, f.Perturb(t.Values[0]), t.Values[1])
+	return rep // want "est.Report built from raw tuple values"
+}

@@ -70,17 +70,19 @@ func (f *Flat) MakeReport(t est.Tuple, rng *mathx.RNG) (est.Report, error) {
 			return est.Report{}, fmt.Errorf("freq: category out of range [0, %d) in dimension %d", p.Cards[j], j)
 		}
 	}
-	epsEntry := p.EpsPerEntry()
-	dims := rng.SampleIndices(len(p.Cards), p.M, nil, nil)
-	rep := est.Report{Dims: make([]uint32, len(dims))}
-	for i, j := range dims {
-		rep.Dims[i] = uint32(j)
+	rep := est.Report{Dims: rng.SampleDims(len(p.Cards), p.M, nil)}
+	n := 0
+	for _, j := range rep.Dims {
+		n += p.Cards[j]
+	}
+	rep.Values = make([]float64, 0, n)
+	for _, j := range rep.Dims {
 		for k := 0; k < p.Cards[j]; k++ {
 			e := -1.0
 			if k == t.Cats[j] {
 				e = 1.0
 			}
-			rep.Values = append(rep.Values, p.Mech.Perturb(rng, e, epsEntry))
+			rep.Values = append(rep.Values, f.perturb.Perturb(rng, e))
 		}
 	}
 	return rep, nil
@@ -220,7 +222,8 @@ func (l flatLane) AddColumns(n, ndims, nvals int, dims []uint32, vals []float64)
 // Estimate implements est.Estimator: the flattened naive frequency
 // estimates in [0, 1] (unprojected; see ProjectSimplex).
 func (f *Flat) Estimate() []float64 {
-	return f.flatten(f.Aggregator.Estimate())
+	sums, counts := f.acc.Fold()
+	return naiveFreqs(f.Aggregator, sums, counts)
 }
 
 // EstimateFrom computes the flattened naive frequency estimates from a
@@ -229,17 +232,7 @@ func (f *Flat) EstimateFrom(s est.Snapshot) ([]float64, error) {
 	if err := est.CheckMerge(f, s, f.total, len(f.Aggregator.P.Cards)); err != nil {
 		return nil, err
 	}
-	out := make([]float64, f.total)
-	for j, card := range f.Aggregator.P.Cards {
-		if s.Counts[j] == 0 {
-			continue
-		}
-		for k := 0; k < card; k++ {
-			i := f.offsets[j] + k
-			out[i] = (s.Sums[i]/float64(s.Counts[j]) + 1) / 2
-		}
-	}
-	return out, nil
+	return naiveFreqs(f.Aggregator, s.Sums, s.Counts), nil
 }
 
 // EstimateWeighted implements est.WeightedEstimator: the same naive
@@ -250,17 +243,7 @@ func (f *Flat) EstimateWeighted(sums, counts []float64) ([]float64, error) {
 		return nil, fmt.Errorf("freq: weighted fold shape %d/%d, want %d/%d sums/counts",
 			len(sums), len(counts), f.total, len(f.Aggregator.P.Cards))
 	}
-	out := make([]float64, f.total)
-	for j, card := range f.Aggregator.P.Cards {
-		if counts[j] == 0 {
-			continue
-		}
-		for k := 0; k < card; k++ {
-			i := f.offsets[j] + k
-			out[i] = (sums[i]/counts[j] + 1) / 2
-		}
-	}
-	return out, nil
+	return naiveFreqs(f.Aggregator, sums, counts), nil
 }
 
 // Enhanced implements est.Enhancer: the flattened HDR4ME re-calibrated

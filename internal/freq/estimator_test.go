@@ -188,3 +188,62 @@ func TestFlatEnhancedFromIsOneInstant(t *testing.T) {
 		}
 	}
 }
+
+// TestFlatNaiveReadsAgreeOnEmptyDims pins the one naive mapping: Estimate,
+// EstimateFrom, EstimateWeighted and the enhanced path's naive side agree
+// bit for bit, including a dimension that received no reports — whose
+// entries read 1/2, the image of the empty released mean 0.
+func TestFlatNaiveReadsAgreeOnEmptyDims(t *testing.T) {
+	p := Protocol{Mech: ldp.Piecewise{}, Eps: 2, Cards: []int{3, 4, 2}, M: 1}
+	f, err := NewFlat(p, recal.DefaultConfig(recal.RegL1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := mathx.NewRNG(3)
+	for i := 0; i < 500; i++ {
+		// Dimension 1 never appears in a report.
+		j := []int{0, 2}[i%2]
+		rep := est.Report{Dims: []uint32{uint32(j)}}
+		for k := 0; k < p.Cards[j]; k++ {
+			rep.Values = append(rep.Values, rng.Uniform(-3, 3))
+		}
+		if err := f.AddReport(rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := f.Snapshot()
+	if snap.Counts[1] != 0 {
+		t.Fatalf("dimension 1 has %d reports, want 0", snap.Counts[1])
+	}
+	fromSnap, err := f.EstimateFrom(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums, counts := make([]float64, len(snap.Sums)), make([]float64, len(snap.Counts))
+	copy(sums, snap.Sums)
+	for j, c := range snap.Counts {
+		counts[j] = float64(c)
+	}
+	weighted, err := f.EstimateWeighted(sums, counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, _ := f.Aggregator.EstimateEnhanced(f.Cfg)
+	var enhancedNaive []float64
+	for _, row := range naive {
+		enhancedNaive = append(enhancedNaive, row...)
+	}
+	want := f.Estimate()
+	for name, got := range map[string][]float64{"EstimateFrom": fromSnap, "EstimateWeighted": weighted, "EstimateEnhanced naive": enhancedNaive} {
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s entry %d = %v, Estimate %v", name, i, got[i], want[i])
+			}
+		}
+	}
+	for k := 0; k < p.Cards[1]; k++ {
+		if v := want[f.Offset(1)+k]; v != 0.5 {
+			t.Fatalf("empty dimension entry %d = %v, want 0.5", k, v)
+		}
+	}
+}

@@ -117,6 +117,9 @@ type Aggregator struct {
 	// data-free Lemma 2 pair (unbounded).
 	atoms     analysis.AtomMoments
 	unbounded analysis.Moments
+
+	// perturb is the mechanism bound to the per-entry budget ε/(2m).
+	perturb ldp.Fixed
 }
 
 // entryAtoms are the released-frame values of a one-hot entry (0 ↦ −1,
@@ -131,6 +134,7 @@ func NewAggregator(p Protocol) *Aggregator {
 		a.total += v
 	}
 	a.acc = est.NewStripes(est.DefaultStripeCount, a.total, len(p.Cards))
+	a.perturb = ldp.Fix(p.Mech, p.EpsPerEntry())
 	fw := analysis.Framework{Mech: p.Mech, EpsPerDim: p.EpsPerEntry()}
 	if p.Mech.Bounded() {
 		a.atoms = fw.Atoms(entryAtoms)
@@ -156,19 +160,33 @@ func (a *Aggregator) merge(sums [][]mathx.KahanSum, counts []int64) {
 // Counts returns the per-dimension report counts.
 func (a *Aggregator) Counts() []int64 { return a.acc.FoldCounts() }
 
-// meansOf maps folded released-frame sums and counts to per-entry naive
-// means in the released frame (zero for a dimension without reports).
-func (a *Aggregator) meansOf(sums []float64, counts []int64) [][]float64 {
+// naiveFreqs maps folded released-frame sums and per-dimension report
+// counts to the flattened naive frequencies (ȳ + 1)/2: the one mapping
+// every naive and enhanced read shares. A dimension without reports has
+// released mean 0, so its entries read 1/2 (ProjectSimplex turns that
+// into the uniform vector).
+func naiveFreqs[C int64 | float64](a *Aggregator, sums []float64, counts []C) []float64 {
+	out := make([]float64, a.total)
+	for j, card := range a.P.Cards {
+		r := float64(counts[j])
+		for i := a.offsets[j]; i < a.offsets[j]+card; i++ {
+			var mean float64
+			if r != 0 {
+				mean = sums[i] / r
+			}
+			out[i] = (mean + 1) / 2
+		}
+	}
+	return out
+}
+
+// split views a flattened entry vector as per-dimension vectors, without
+// copying.
+func (a *Aggregator) split(flat []float64) [][]float64 {
 	out := make([][]float64, len(a.P.Cards))
 	for j, card := range a.P.Cards {
-		out[j] = make([]float64, card)
-		if counts[j] == 0 {
-			continue
-		}
 		off := a.offsets[j]
-		for k := 0; k < card; k++ {
-			out[j][k] = sums[off+k] / float64(counts[j])
-		}
+		out[j] = flat[off : off+card : off+card]
 	}
 	return out
 }
@@ -176,13 +194,8 @@ func (a *Aggregator) meansOf(sums []float64, counts []int64) [][]float64 {
 // Estimate returns the naive frequency estimates: per-entry released-frame
 // means mapped back to [0, 1], without simplex projection.
 func (a *Aggregator) Estimate() [][]float64 {
-	means := a.meansOf(a.acc.Fold())
-	for j := range means {
-		for k := range means[j] {
-			means[j][k] = (means[j][k] + 1) / 2
-		}
-	}
-	return means
+	sums, counts := a.acc.Fold()
+	return a.split(naiveFreqs(a, sums, counts))
 }
 
 // EstimateEnhanced applies HDR4ME per dimension in the [0, 1] frequency
@@ -203,24 +216,19 @@ func (a *Aggregator) EstimateEnhanced(cfg recal.Config) (naive, enhanced [][]flo
 // sums (flattened) and per-dimension counts. Only the per-entry mixture
 // and the prox step run here; the mechanism moments are memoized.
 func (a *Aggregator) enhanceFold(sums []float64, counts []int64, cfg recal.Config) (naive, enhanced [][]float64) {
-	means := a.meansOf(sums, counts)
-	naive = make([][]float64, len(means))
-	enhanced = make([][]float64, len(means))
-	for j := range means {
-		naive[j] = make([]float64, len(means[j]))
-		for k := range means[j] {
-			naive[j][k] = (means[j][k] + 1) / 2
-		}
+	naive = a.split(naiveFreqs(a, sums, counts))
+	enhanced = make([][]float64, len(naive))
+	for j := range naive {
 		r := float64(counts[j])
 		if r == 0 {
 			enhanced[j] = mathx.Clone(naive[j])
 			continue
 		}
-		devs := make([]analysis.Deviation, len(means[j]))
+		devs := make([]analysis.Deviation, len(naive[j]))
 		for k := range devs {
 			mom := a.unbounded
 			if a.P.Mech.Bounded() {
-				f := mathx.Clamp(naive[j][k], 1/(10*float64(len(means[j]))), 1)
+				f := mathx.Clamp(naive[j][k], 1/(10*float64(len(naive[j]))), 1)
 				mom = a.atoms.Mix([]float64{1 - f, f})
 			}
 			dev := mom.At(r)
@@ -280,7 +288,6 @@ func Simulate(p Protocol, ds CatDataset, rng *mathx.RNG, workers int) (*Aggregat
 	}
 	agg := NewAggregator(p)
 	d := len(p.Cards)
-	epsEntry := p.EpsPerEntry()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -292,9 +299,9 @@ func Simulate(p Protocol, ds CatDataset, rng *mathx.RNG, workers int) (*Aggregat
 				sums[j] = make([]mathx.KahanSum, v)
 			}
 			counts := make([]int64, d)
-			var dims, scratch []int
+			var dims []int
 			for i := w; i < n; i += workers {
-				dims = wrng.SampleIndices(d, p.M, dims, scratch)
+				dims = wrng.SampleIndices(d, p.M, dims)
 				for _, j := range dims {
 					cat := ds.Value(i, j)
 					for k := 0; k < p.Cards[j]; k++ {
@@ -302,7 +309,7 @@ func Simulate(p Protocol, ds CatDataset, rng *mathx.RNG, workers int) (*Aggregat
 						if k == cat {
 							e = 1.0
 						}
-						sums[j][k].Add(p.Mech.Perturb(wrng, e, epsEntry))
+						sums[j][k].Add(agg.perturb.Perturb(wrng, e))
 					}
 					counts[j]++
 				}

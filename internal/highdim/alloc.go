@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"github.com/hdr4me/hdr4me/internal/dataset"
+	"github.com/hdr4me/hdr4me/internal/ldp"
 	"github.com/hdr4me/hdr4me/internal/mathx"
 )
 
@@ -171,27 +171,6 @@ func SimulateAllocated(p Protocol, alloc Allocation, ds dataset.Dataset, rng *ma
 		workers = n
 	}
 	agg := NewAggregator(p)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wrng := rng.Child(uint64(w))
-			row := make([]float64, p.D)
-			sums := make([]mathx.KahanSum, p.D)
-			counts := make([]int64, p.D)
-			var dims, scratch []int
-			for i := w; i < n; i += workers {
-				ds.Row(i, row)
-				dims = wrng.SampleIndices(p.D, p.M, dims, scratch)
-				for _, j := range dims {
-					sums[j].Add(p.Mech.Perturb(wrng, row[j], alloc.Eps[j]))
-					counts[j]++
-				}
-			}
-			agg.merge(sums, counts)
-		}(w)
-	}
-	wg.Wait()
+	agg.simulate(ds, rng, workers, ldp.FixEach(p.Mech, alloc.Eps))
 	return agg, nil
 }

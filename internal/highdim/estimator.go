@@ -44,11 +44,9 @@ func (a *Aggregator) MakeReport(t est.Tuple, rng *mathx.RNG) (est.Report, error)
 	if len(t.Values) != a.P.D {
 		return est.Report{}, fmt.Errorf("highdim: tuple has %d dims, protocol says %d", len(t.Values), a.P.D)
 	}
-	dims := rng.SampleIndices(a.P.D, a.P.M, nil, nil)
-	rep := est.Report{Dims: make([]uint32, a.P.M), Values: make([]float64, a.P.M)}
-	for i, j := range dims {
-		rep.Dims[i] = uint32(j)
-		rep.Values[i] = a.P.Mech.Perturb(rng, t.Values[j], a.EpsFor(j))
+	rep := est.Report{Dims: rng.SampleDims(a.P.D, a.P.M, nil), Values: make([]float64, a.P.M)}
+	for i, j := range rep.Dims {
+		rep.Values[i] = a.perturb[j].Perturb(rng, t.Values[j])
 	}
 	return rep, nil
 }

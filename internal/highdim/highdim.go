@@ -65,10 +65,8 @@ type Report = est.Report
 // Client is the user side of the protocol. It is not safe for concurrent
 // use; each goroutine should own a Client (they are cheap).
 type Client struct {
-	P       Protocol
-	rng     *mathx.RNG
-	dims    []int
-	scratch []int
+	P   Protocol
+	rng *mathx.RNG
 }
 
 // NewClient returns a user-side perturber drawing randomness from rng.
@@ -83,13 +81,11 @@ func (c *Client) Report(tuple []float64) Report {
 		panic(fmt.Sprintf("highdim: tuple has %d dims, protocol says %d", len(tuple), c.P.D))
 	}
 	epsPer := c.P.EpsPerDim()
-	c.dims = c.rng.SampleIndices(c.P.D, c.P.M, c.dims, c.scratch)
 	rep := Report{
-		Dims:   make([]uint32, c.P.M),
+		Dims:   c.rng.SampleDims(c.P.D, c.P.M, nil),
 		Values: make([]float64, c.P.M),
 	}
-	for i, j := range c.dims {
-		rep.Dims[i] = uint32(j)
+	for i, j := range rep.Dims {
 		rep.Values[i] = c.P.Mech.Perturb(c.rng, tuple[j], epsPer)
 	}
 	return rep
@@ -108,13 +104,27 @@ type Aggregator struct {
 	// alloc optionally overrides the uniform ε/m with a per-dimension
 	// budget (see Allocation); nil means uniform.
 	alloc []float64
+	// perturb[j] is the mechanism bound to EpsFor(j), one form per
+	// distinct budget (ldp.FixEach); immutable after construction.
+	perturb []ldp.Fixed
 
 	acc *est.Stripes // D sum lanes, D count lanes
 }
 
 // NewAggregator returns an empty collector for protocol p.
 func NewAggregator(p Protocol) *Aggregator {
-	return &Aggregator{P: p, acc: est.NewStripes(est.DefaultStripeCount, p.D, p.D)}
+	a := &Aggregator{P: p, acc: est.NewStripes(est.DefaultStripeCount, p.D, p.D)}
+	a.fix()
+	return a
+}
+
+// fix binds the mechanism to every dimension's budget.
+func (a *Aggregator) fix() {
+	eps := make([]float64, a.P.D)
+	for j := range eps {
+		eps[j] = a.EpsFor(j)
+	}
+	a.perturb = ldp.FixEach(a.P.Mech, eps)
 }
 
 // NewAllocatedAggregator returns an empty collector whose Observe path
@@ -131,6 +141,7 @@ func NewAllocatedAggregator(p Protocol, alloc Allocation) (*Aggregator, error) {
 	}
 	a := NewAggregator(p)
 	a.alloc = append([]float64(nil), alloc.Eps...)
+	a.fix()
 	return a, nil
 }
 
@@ -356,7 +367,15 @@ func Simulate(p Protocol, ds dataset.Dataset, rng *mathx.RNG, workers int) (*Agg
 		workers = n
 	}
 	agg := NewAggregator(p)
-	epsPer := p.EpsPerDim()
+	agg.simulate(ds, rng, workers, agg.perturb)
+	return agg, nil
+}
+
+// simulate streams ds through workers: each samples with its own
+// substream of rng, perturbs dimension j with perturb[j], accumulates
+// locally and merges into a.
+func (a *Aggregator) simulate(ds dataset.Dataset, rng *mathx.RNG, workers int, perturb []ldp.Fixed) {
+	p, n := a.P, ds.NumUsers()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -366,18 +385,17 @@ func Simulate(p Protocol, ds dataset.Dataset, rng *mathx.RNG, workers int) (*Agg
 			row := make([]float64, p.D)
 			sums := make([]mathx.KahanSum, p.D)
 			counts := make([]int64, p.D)
-			var dims, scratch []int
+			var dims []int
 			for i := w; i < n; i += workers {
 				ds.Row(i, row)
-				dims = wrng.SampleIndices(p.D, p.M, dims, scratch)
+				dims = wrng.SampleIndices(p.D, p.M, dims)
 				for _, j := range dims {
-					sums[j].Add(p.Mech.Perturb(wrng, row[j], epsPer))
+					sums[j].Add(perturb[j].Perturb(wrng, row[j]))
 					counts[j]++
 				}
 			}
-			agg.merge(sums, counts)
+			a.merge(sums, counts)
 		}(w)
 	}
 	wg.Wait()
-	return agg, nil
 }

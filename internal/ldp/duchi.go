@@ -24,20 +24,34 @@ func (Duchi) SupportBound(eps float64) float64 {
 	return (em1 + 2) / em1
 }
 
-// pPlus returns P[t* = +B | t].
-func (d Duchi) pPlus(t, eps float64) float64 {
-	e := math.Exp(eps)
-	return 0.5 + t*(e-1)/(2*(e+1))
-}
-
 // Perturb implements Mechanism.
 func (d Duchi) Perturb(rng *mathx.RNG, t, eps float64) float64 {
-	validate(t, eps)
-	b := d.SupportBound(eps)
-	if rng.Float64() < d.pPlus(t, eps) {
-		return b
+	return d.at(eps).Perturb(rng, t)
+}
+
+// Fix binds Duchi to budget eps (see Fix): B and the e^ε terms of
+// P[t* = +B] are computed once.
+func (d Duchi) Fix(eps float64) Fixed { return d.at(eps) }
+
+// duchiAt is Duchi at one budget: P[t* = +B | t] = 1/2 + t·em1/den with
+// em1 = e^ε − 1 and den = 2(e^ε + 1).
+type duchiAt struct{ eps, b, em1, den float64 }
+
+func (d Duchi) at(eps float64) duchiAt {
+	e := math.Exp(eps)
+	return duchiAt{eps: eps, b: d.SupportBound(eps), em1: e - 1, den: 2 * (e + 1)}
+}
+
+// pPlus returns P[t* = +B | t].
+func (f duchiAt) pPlus(t float64) float64 { return 0.5 + t*f.em1/f.den }
+
+// Perturb implements Fixed.
+func (f duchiAt) Perturb(rng *mathx.RNG, t float64) float64 {
+	validate(t, f.eps)
+	if rng.Float64() < f.pPlus(t) {
+		return f.b
 	}
-	return -b
+	return -f.b
 }
 
 // Bias implements Mechanism; Duchi is unbiased.
@@ -52,8 +66,8 @@ func (d Duchi) Var(t, eps float64) float64 {
 // ThirdAbsMoment implements Mechanism exactly on the two-point support:
 // E|t*−t|³ = p(B−t)³ + (1−p)(B+t)³.
 func (d Duchi) ThirdAbsMoment(t, eps float64) float64 {
-	b := d.SupportBound(eps)
-	p := d.pPlus(t, eps)
+	f := d.at(eps)
+	b, p := f.b, f.pPlus(t)
 	up, dn := b-t, b+t
 	return p*up*up*up + (1-p)*dn*dn*dn
 }

@@ -42,11 +42,31 @@ func (h Hybrid) SupportBound(eps float64) float64 {
 
 // Perturb implements Mechanism.
 func (h Hybrid) Perturb(rng *mathx.RNG, t, eps float64) float64 {
-	validate(t, eps)
-	if rng.Float64() < h.Alpha(eps) {
-		return Piecewise{}.Perturb(rng, t, eps)
+	return h.at(eps).Perturb(rng, t)
+}
+
+// Fix binds Hybrid to budget eps (see Fix): α and both branches are
+// bound once.
+func (h Hybrid) Fix(eps float64) Fixed { return h.at(eps) }
+
+// hybridAt is Hybrid at one budget: PM with probability alpha, else Duchi.
+type hybridAt struct {
+	eps, alpha float64
+	pm         piecewiseAt
+	duchi      duchiAt
+}
+
+func (h Hybrid) at(eps float64) hybridAt {
+	return hybridAt{eps: eps, alpha: h.Alpha(eps), pm: Piecewise{}.at(eps), duchi: Duchi{}.at(eps)}
+}
+
+// Perturb implements Fixed.
+func (f hybridAt) Perturb(rng *mathx.RNG, t float64) float64 {
+	validate(t, f.eps)
+	if rng.Float64() < f.alpha {
+		return f.pm.Perturb(rng, t)
 	}
-	return Duchi{}.Perturb(rng, t, eps)
+	return f.duchi.Perturb(rng, t)
 }
 
 // Bias implements Mechanism; both branches are unbiased.

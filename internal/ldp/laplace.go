@@ -23,8 +23,22 @@ func (Laplace) Scale(eps float64) float64 { return 2 / eps }
 
 // Perturb implements Mechanism.
 func (l Laplace) Perturb(rng *mathx.RNG, t, eps float64) float64 {
-	validate(t, eps)
-	return t + rng.Laplace(l.Scale(eps))
+	return l.at(eps).Perturb(rng, t)
+}
+
+// Fix binds Laplace to budget eps (see Fix): the scale 2/ε is computed
+// once.
+func (l Laplace) Fix(eps float64) Fixed { return l.at(eps) }
+
+// laplaceAt is Laplace at one budget: ε and the scale λ = 2/ε.
+type laplaceAt struct{ eps, scale float64 }
+
+func (l Laplace) at(eps float64) laplaceAt { return laplaceAt{eps: eps, scale: l.Scale(eps)} }
+
+// Perturb implements Fixed.
+func (f laplaceAt) Perturb(rng *mathx.RNG, t float64) float64 {
+	validate(t, f.eps)
+	return t + rng.Laplace(f.scale)
 }
 
 // SupportBound implements Mechanism; the output domain is all of R.

@@ -51,6 +51,51 @@ type Mechanism interface {
 	ThirdAbsMoment(t, eps float64) float64
 }
 
+// Fixed is a Mechanism bound to one budget ε: the form a collection
+// protocol perturbs with, since its budgets are fixed when the protocol
+// is. The registered mechanisms compute their ε-only constants once in
+// Fix; per value only the draws and the t-dependent arithmetic remain.
+// A Fixed is immutable and safe for concurrent use.
+type Fixed interface {
+	// Perturb maps t ∈ [−1, 1] to its randomized release. Its draws and
+	// its bits equal the bound mechanism's Perturb(rng, t, ε).
+	Perturb(rng *mathx.RNG, t float64) float64
+}
+
+// Fix binds m to budget eps. A budget outside the protocol contract
+// panics on the first Perturb, exactly as m.Perturb would.
+func Fix(m Mechanism, eps float64) Fixed {
+	if f, ok := m.(interface{ Fix(eps float64) Fixed }); ok {
+		return f.Fix(eps)
+	}
+	return perCall{m, eps}
+}
+
+// FixEach binds m to every budget in eps, building one Fixed per
+// distinct budget: out[j] perturbs with eps[j].
+func FixEach(m Mechanism, eps []float64) []Fixed {
+	byEps := map[float64]Fixed{}
+	out := make([]Fixed, len(eps))
+	for j, e := range eps {
+		f, ok := byEps[e]
+		if !ok {
+			f = Fix(m, e)
+			byEps[e] = f
+		}
+		out[j] = f
+	}
+	return out
+}
+
+// perCall is the Fixed form of a mechanism without precomputed
+// constants: each value goes through Perturb(rng, t, ε).
+type perCall struct {
+	m   Mechanism
+	eps float64
+}
+
+func (f perCall) Perturb(rng *mathx.RNG, t float64) float64 { return f.m.Perturb(rng, t, f.eps) }
+
 // validate panics on values outside the protocol contract; perturbing
 // garbage silently would corrupt the privacy accounting.
 func validate(t, eps float64) {

@@ -221,7 +221,7 @@ func TestDuchiSatisfiesLDP(t *testing.T) {
 		limit := math.Exp(eps) * (1 + 1e-12)
 		for _, t1 := range []float64{-1, 0, 1} {
 			for _, t2 := range []float64{-1, 0, 1} {
-				pp1, pp2 := d.pPlus(t1, eps), d.pPlus(t2, eps)
+				pp1, pp2 := d.at(eps).pPlus(t1), d.at(eps).pPlus(t2)
 				if pp1/pp2 > limit || (1-pp1)/(1-pp2) > limit {
 					t.Fatalf("duchi LDP violated at ε=%v, t1=%v, t2=%v", eps, t1, t2)
 				}

@@ -30,12 +30,7 @@ func (Piecewise) SupportBound(eps float64) float64 {
 }
 
 // Band returns the high-probability band [l(t), r(t)].
-func (p Piecewise) Band(t, eps float64) (l, r float64) {
-	q := p.SupportBound(eps)
-	l = (q+1)/2*t - (q-1)/2
-	r = l + q - 1
-	return l, r
-}
+func (p Piecewise) Band(t, eps float64) (l, r float64) { return p.at(eps).band(t) }
 
 // Densities returns the (high, low) densities of Eq. 4.
 func (Piecewise) Densities(eps float64) (high, low float64) {
@@ -66,11 +61,35 @@ func (p Piecewise) PDF(t, eps, x float64) float64 {
 // output is uniform in the band; otherwise it is uniform over the two low
 // tails (combined length Q+1).
 func (p Piecewise) Perturb(rng *mathx.RNG, t, eps float64) float64 {
-	validate(t, eps)
+	return p.at(eps).Perturb(rng, t)
+}
+
+// Fix binds PM to budget eps (see Fix): Q, the band's affine
+// coefficients and the band probability are computed once.
+func (p Piecewise) Fix(eps float64) Fixed { return p.at(eps) }
+
+// piecewiseAt is PM at one budget: the band is [a·t − h, a·t − h + Q − 1]
+// with a = (Q+1)/2, h = (Q−1)/2, drawn from with probability pBand.
+type piecewiseAt struct{ eps, q, a, h, pBand float64 }
+
+func (p Piecewise) at(eps float64) piecewiseAt {
 	c := math.Exp(eps / 2)
 	q := p.SupportBound(eps)
-	l, r := p.Band(t, eps)
-	if rng.Float64() < c/(c+1) {
+	return piecewiseAt{eps: eps, q: q, a: (q + 1) / 2, h: (q - 1) / 2, pBand: c / (c + 1)}
+}
+
+func (f piecewiseAt) band(t float64) (l, r float64) {
+	l = f.a*t - f.h
+	r = l + f.q - 1
+	return l, r
+}
+
+// Perturb implements Fixed.
+func (f piecewiseAt) Perturb(rng *mathx.RNG, t float64) float64 {
+	validate(t, f.eps)
+	q := f.q
+	l, r := f.band(t)
+	if rng.Float64() < f.pBand {
 		return rng.Uniform(l, r)
 	}
 	// Tails: [−Q, l) has length l+Q, (r, Q] has length Q−r; total Q+1.

@@ -29,13 +29,15 @@ func (SCDF) SupportBound(eps float64) float64 { return math.Inf(1) }
 
 // Perturb implements Mechanism.
 func (s SCDF) Perturb(rng *mathx.RNG, t, eps float64) float64 {
-	validate(t, eps)
-	return t + staircaseNoise(rng, eps, 0.5)
+	return newStaircaseAt(eps, 0.5).Perturb(rng, t)
 }
+
+// Fix binds SCDF to budget eps (see Fix).
+func (SCDF) Fix(eps float64) Fixed { return newStaircaseAt(eps, 0.5) }
 
 // Noise draws one sample of the SCDF noise distribution.
 func (SCDF) Noise(rng *mathx.RNG, eps float64) float64 {
-	return staircaseNoise(rng, eps, 0.5)
+	return newStaircaseAt(eps, 0.5).noise(rng)
 }
 
 // NoisePDF returns the SCDF noise density at x.

@@ -43,18 +43,36 @@ func (SquareWave) B(eps float64) float64 {
 func (s SquareWave) SupportBound(eps float64) float64 { return 1 + 2*s.B(eps) }
 
 // Perturb implements Mechanism.
-func (s SquareWave) Perturb(rng *mathx.RNG, t, eps float64) float64 {
-	validate(t, eps)
-	x := s.perturb01(rng, (t+1)/2, eps)
+func (sw SquareWave) Perturb(rng *mathx.RNG, t, eps float64) float64 {
+	return sw.at(eps).Perturb(rng, t)
+}
+
+// Fix binds SW to budget eps (see Fix): b(ε) and the band probability
+// are computed once.
+func (sw SquareWave) Fix(eps float64) Fixed { return sw.at(eps) }
+
+// squareWaveAt is SW at one budget: ε, the band half-width b and the
+// band probability 2be^ε/(2be^ε + 1).
+type squareWaveAt struct{ eps, b, pBand float64 }
+
+func (sw SquareWave) at(eps float64) squareWaveAt {
+	b := sw.B(eps)
+	e := math.Exp(eps)
+	z := 2*b*e + 1
+	return squareWaveAt{eps: eps, b: b, pBand: 2 * b * e / z}
+}
+
+// Perturb implements Fixed: SW in the released [−1, 1] frame.
+func (f squareWaveAt) Perturb(rng *mathx.RNG, t float64) float64 {
+	validate(t, f.eps)
+	x := f.perturb01(rng, (t+1)/2)
 	return 2*x - 1
 }
 
 // perturb01 runs the native SW perturbation on s ∈ [0, 1].
-func (sw SquareWave) perturb01(rng *mathx.RNG, s, eps float64) float64 {
-	b := sw.B(eps)
-	e := math.Exp(eps)
-	z := 2*b*e + 1
-	if rng.Float64() < 2*b*e/z {
+func (f squareWaveAt) perturb01(rng *mathx.RNG, s float64) float64 {
+	b := f.b
+	if rng.Float64() < f.pBand {
 		return s + rng.Uniform(-b, b)
 	}
 	// Low region: [−b, s−b) length s, then (s+b, 1+b] length 1−s; total 1.
@@ -119,7 +137,7 @@ func (sw SquareWave) PerturbNative(rng *mathx.RNG, s, eps float64) float64 {
 	if !(eps > 0) || math.IsInf(eps, 0) {
 		panic("ldp: privacy budget must be finite and positive")
 	}
-	return sw.perturb01(rng, s, eps)
+	return sw.at(eps).perturb01(rng, s)
 }
 
 // NativeBias returns δ_s(s) = E[x] − s in the native [0,1] frame (Eq. 17).

@@ -39,13 +39,18 @@ func (Staircase) SupportBound(eps float64) float64 { return math.Inf(1) }
 // sign S, geometric step index G with ratio e^{−ε}, an intra-step Bernoulli
 // choosing the high or low half of the step, and a uniform offset.
 func (sc Staircase) Perturb(rng *mathx.RNG, t, eps float64) float64 {
-	validate(t, eps)
-	return t + staircaseNoise(rng, eps, sc.Gamma(eps))
+	return sc.at(eps).Perturb(rng, t)
 }
+
+// Fix binds Staircase to budget eps (see Fix): γ*, e^{−ε} and the step
+// split are computed once.
+func (sc Staircase) Fix(eps float64) Fixed { return sc.at(eps) }
+
+func (sc Staircase) at(eps float64) staircaseAt { return newStaircaseAt(eps, sc.Gamma(eps)) }
 
 // Noise draws one sample of the staircase noise distribution.
 func (sc Staircase) Noise(rng *mathx.RNG, eps float64) float64 {
-	return staircaseNoise(rng, eps, sc.Gamma(eps))
+	return sc.at(eps).noise(rng)
 }
 
 // NoisePDF returns the staircase noise density at x.
@@ -66,22 +71,36 @@ func (sc Staircase) ThirdAbsMoment(t, eps float64) float64 {
 	return staircaseMoment(eps, sc.Gamma(eps), 3)
 }
 
-// staircaseNoise samples the γ-parametrized staircase noise (γ = 1
-// degenerates to the SCDF optimal data-independent noise of Soria-Comas &
-// Domingo-Ferrer [9]).
-func staircaseNoise(rng *mathx.RNG, eps, gamma float64) float64 {
+// staircaseAt is the γ-parametrized staircase noise at one budget (γ = 1/2
+// is the SCDF optimal data-independent noise of Soria-Comas &
+// Domingo-Ferrer [9]): q = e^{−ε} and the inner-half probability
+// γ/(γ + (1−γ)q) of a step.
+type staircaseAt struct{ eps, gamma, q, pInner float64 }
+
+func newStaircaseAt(eps, gamma float64) staircaseAt {
 	q := math.Exp(-eps)
+	return staircaseAt{eps: eps, gamma: gamma, q: q, pInner: gamma / (gamma + (1-gamma)*q)}
+}
+
+// Perturb implements Fixed: t plus one noise draw.
+func (f staircaseAt) Perturb(rng *mathx.RNG, t float64) float64 {
+	validate(t, f.eps)
+	return t + f.noise(rng)
+}
+
+// noise samples the staircase noise.
+func (f staircaseAt) noise(rng *mathx.RNG) float64 {
+	gamma := f.gamma
 	sign := 1.0
 	if rng.Bernoulli(0.5) {
 		sign = -1
 	}
-	g := float64(rng.Geometric(q))
+	g := float64(rng.Geometric(f.q))
 	u := rng.Float64()
 	// Within one step, mass splits γ : (1−γ)e^{−ε} between the inner
 	// (higher) and outer (lower) halves.
-	pInner := gamma / (gamma + (1-gamma)*q)
 	var x float64
-	if rng.Bernoulli(pInner) {
+	if rng.Bernoulli(f.pInner) {
 		x = (g + gamma*u) * staircaseDelta
 	} else {
 		x = (g + gamma + (1-gamma)*u) * staircaseDelta

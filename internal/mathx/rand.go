@@ -12,14 +12,28 @@ import (
 //
 // RNG is not safe for concurrent use; give each goroutine its own Child.
 type RNG struct {
+	pcg  *rand.PCG
 	src  *rand.Rand
 	seed uint64
+	// perm is SampleIndices' scratch: the identity permutation of
+	// [0, len(perm)) between calls.
+	perm []int
 }
 
 // NewRNG returns a deterministic RNG seeded with seed.
 func NewRNG(seed uint64) *RNG {
+	pcg := new(rand.PCG)
+	r := &RNG{pcg: pcg, src: rand.New(pcg)}
+	r.Reseed(seed)
+	return r
+}
+
+// Reseed restarts r in place on seed: its stream from here on equals
+// NewRNG(seed)'s, without allocating. Pooled RNGs reseed per use.
+func (r *RNG) Reseed(seed uint64) {
 	s := splitmix64(seed)
-	return &RNG{src: rand.New(rand.NewPCG(s, splitmix64(s))), seed: seed}
+	r.pcg.Seed(s, splitmix64(s))
+	r.seed = seed
 }
 
 // splitmix64 is the standard SplitMix64 finalizer, used both to whiten seeds
@@ -31,10 +45,14 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Child derives the i-th independent substream of r's seed.
-func (r *RNG) Child(i uint64) *RNG {
-	return NewRNG(splitmix64(r.seed^0xa5a5a5a5a5a5a5a5) + splitmix64(i)*0x9e3779b97f4a7c15)
+// ChildSeed returns the seed of the i-th substream of an RNG seeded with
+// seed: NewRNG(seed).Child(i).Seed(), computed without building either.
+func ChildSeed(seed, i uint64) uint64 {
+	return splitmix64(seed^0xa5a5a5a5a5a5a5a5) + splitmix64(i)*0x9e3779b97f4a7c15
 }
+
+// Child derives the i-th independent substream of r's seed.
+func (r *RNG) Child(i uint64) *RNG { return NewRNG(ChildSeed(r.seed, i)) }
 
 // Seed returns the seed the RNG was constructed with.
 func (r *RNG) Seed() uint64 { return r.seed }
@@ -134,36 +152,50 @@ func (r *RNG) poissonPTRS(lambda float64) int {
 }
 
 // SampleIndices fills dst with a uniform random m-subset of [0, d) in
-// increasing order, using a partial Fisher–Yates shuffle over a scratch
-// permutation. It allocates only when dst or scratch are too small.
-func (r *RNG) SampleIndices(d, m int, dst []int, scratch []int) []int {
+// increasing order (m is clamped to d). It allocates only when dst is too
+// small, or on the first draw over a d larger than any before.
+func (r *RNG) SampleIndices(d, m int, dst []int) []int { return sampleInto(r, d, m, dst) }
+
+// SampleDims is SampleIndices in the report wire form: the same draws and
+// the same subset, written as uint32 dimensions.
+func (r *RNG) SampleDims(d, m int, dst []uint32) []uint32 { return sampleInto(r, d, m, dst) }
+
+// sampleInto runs a partial Fisher–Yates shuffle over r.perm, which is the
+// identity permutation between calls: step i swaps slot i with a uniform
+// slot j ≥ i, so one draw touches at most 2m slots, and those are set back
+// before returning. A draw costs O(m) (plus an O(m²) insertion sort),
+// whatever d is.
+func sampleInto[T int | uint32](r *RNG, d, m int, dst []T) []T {
 	if m > d {
 		m = d
 	}
-	if cap(scratch) < d {
-		scratch = make([]int, d)
+	if len(r.perm) < d {
+		r.perm = make([]int, d)
+		for i := range r.perm {
+			r.perm[i] = i
+		}
 	}
-	scratch = scratch[:d]
-	for i := range scratch {
-		scratch[i] = i
-	}
+	perm := r.perm
 	if cap(dst) < m {
-		dst = make([]int, m)
+		dst = make([]T, m)
 	}
 	dst = dst[:m]
 	for i := 0; i < m; i++ {
 		j := i + r.src.IntN(d-i)
-		scratch[i], scratch[j] = scratch[j], scratch[i]
-		dst[i] = scratch[i]
+		perm[i], perm[j] = perm[j], perm[i]
+		dst[i] = T(perm[i])
 	}
-	sortInts(dst)
-	return dst
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
+	// Slot i < m never moves after step i, so every slot ≥ m a swap
+	// touched holds a value that is now in dst: resetting the first m
+	// slots and the slots named by dst restores the identity.
+	for i := 0; i < m; i++ {
+		perm[i] = i
+		perm[dst[i]] = int(dst[i])
+	}
+	for i := 1; i < m; i++ {
+		for j := i; j > 0 && dst[j] < dst[j-1]; j-- {
+			dst[j], dst[j-1] = dst[j-1], dst[j]
 		}
 	}
+	return dst
 }

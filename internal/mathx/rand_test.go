@@ -137,11 +137,11 @@ func TestNormalMoments(t *testing.T) {
 
 func TestSampleIndicesProperties(t *testing.T) {
 	r := NewRNG(8)
-	var dst, scratch []int
+	var dst []int
 	for trial := 0; trial < 200; trial++ {
 		d := 1 + r.IntN(50)
 		m := 1 + r.IntN(d)
-		dst = r.SampleIndices(d, m, dst, scratch)
+		dst = r.SampleIndices(d, m, dst)
 		if len(dst) != m {
 			t.Fatalf("len = %d, want %d", len(dst), m)
 		}
@@ -158,7 +158,7 @@ func TestSampleIndicesProperties(t *testing.T) {
 
 func TestSampleIndicesMClamped(t *testing.T) {
 	r := NewRNG(9)
-	got := r.SampleIndices(3, 10, nil, nil)
+	got := r.SampleIndices(3, 10, nil)
 	if len(got) != 3 {
 		t.Fatalf("m>d must clamp to d, got len %d", len(got))
 	}
@@ -169,9 +169,9 @@ func TestSampleIndicesUniformity(t *testing.T) {
 	r := NewRNG(10)
 	const d, m, trials = 10, 3, 60_000
 	counts := make([]int, d)
-	var dst, scratch []int
+	var dst []int
 	for i := 0; i < trials; i++ {
-		dst = r.SampleIndices(d, m, dst, scratch)
+		dst = r.SampleIndices(d, m, dst)
 		for _, v := range dst {
 			counts[v]++
 		}
@@ -180,6 +180,117 @@ func TestSampleIndicesUniformity(t *testing.T) {
 	for i, c := range counts {
 		if math.Abs(float64(c)-want)/want > 0.05 {
 			t.Errorf("index %d drawn %d times, want ≈%v", i, c, want)
+		}
+	}
+}
+
+// referenceSampleIndices is the O(d) derivation SampleIndices replaced:
+// a fresh identity permutation per call, partially shuffled and sorted.
+func referenceSampleIndices(r *RNG, d, m int) []int {
+	if m > d {
+		m = d
+	}
+	perm := make([]int, d)
+	for i := range perm {
+		perm[i] = i
+	}
+	dst := make([]int, m)
+	for i := 0; i < m; i++ {
+		j := i + r.IntN(d-i)
+		perm[i], perm[j] = perm[j], perm[i]
+		dst[i] = perm[i]
+	}
+	sortInts(dst)
+	return dst
+}
+
+func sortInts(xs []int) {
+	for i := 1; i < len(xs); i++ {
+		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
+			xs[j], xs[j-1] = xs[j-1], xs[j]
+		}
+	}
+}
+
+// TestSampleIndicesMatchesReference interleaves draws over varying d and
+// m (so the kept permutation is reused, grown and partly unused) and
+// checks every subset, and the stream position after it, against the
+// fresh-permutation reference; the permutation must be the identity
+// after each draw.
+func TestSampleIndicesMatchesReference(t *testing.T) {
+	shape := NewRNG(12)
+	r, ref := NewRNG(13), NewRNG(13)
+	var dst []int
+	var dims []uint32
+	for trial := 0; trial < 5000; trial++ {
+		d := 1 + shape.IntN(300)
+		m := shape.IntN(d + 3) // includes m = 0 and m > d
+		want := referenceSampleIndices(ref, d, m)
+		if trial%2 == 0 {
+			dst = r.SampleIndices(d, m, dst)
+		} else {
+			dims = r.SampleDims(d, m, dims)
+			dst = dst[:0]
+			for _, j := range dims {
+				dst = append(dst, int(j))
+			}
+		}
+		if len(dst) != len(want) {
+			t.Fatalf("trial %d (d=%d m=%d): %v, want %v", trial, d, m, dst, want)
+		}
+		for i := range want {
+			if dst[i] != want[i] {
+				t.Fatalf("trial %d (d=%d m=%d): %v, want %v", trial, d, m, dst, want)
+			}
+		}
+		for i, v := range r.perm {
+			if v != i {
+				t.Fatalf("trial %d: permutation slot %d holds %d after the draw", trial, i, v)
+			}
+		}
+		if r.Float64() != ref.Float64() {
+			t.Fatalf("trial %d: streams diverge after the draw", trial)
+		}
+	}
+}
+
+func TestSampleIndicesSteadyStateAllocs(t *testing.T) {
+	r := NewRNG(14)
+	dst := r.SampleIndices(256, 8, nil)
+	if n := testing.AllocsPerRun(100, func() { dst = r.SampleIndices(256, 8, dst) }); n != 0 {
+		t.Fatalf("SampleIndices allocates %v per draw with a reused dst", n)
+	}
+}
+
+func TestReseedMatchesNewRNG(t *testing.T) {
+	r := NewRNG(1)
+	for _, seed := range []uint64{0, 1, 42, 1 << 63, ^uint64(0)} {
+		r.Float64() // leave state behind
+		r.Reseed(seed)
+		fresh := NewRNG(seed)
+		if r.Seed() != seed {
+			t.Fatalf("Seed() = %d after Reseed(%d)", r.Seed(), seed)
+		}
+		for i := 0; i < 100; i++ {
+			if a, b := r.src.Uint64(), fresh.src.Uint64(); a != b {
+				t.Fatalf("seed %d draw %d: reseeded %d, fresh %d", seed, i, a, b)
+			}
+		}
+		if a, b := r.Normal(0, 1), fresh.Normal(0, 1); a != b {
+			t.Fatalf("seed %d: normal draws differ", seed)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { r.Reseed(7) }); n != 0 {
+		t.Fatalf("Reseed allocates %v", n)
+	}
+}
+
+func TestChildSeed(t *testing.T) {
+	for _, seed := range []uint64{0, 5, 1 << 40} {
+		for _, i := range []uint64{0, 1, 0x0b5e0000, ^uint64(0)} {
+			if got, want := ChildSeed(seed, i), NewRNG(seed).Child(i).Seed(); got != want {
+				t.Fatalf("ChildSeed(%d, %d) = %d, Child gives %d", seed, i, got, want)
+			}
 		}
 	}
 }

@@ -115,7 +115,10 @@ func TestDrainBoundedByStalledClient(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stall := func(t *testing.T, addr string) net.Conn {
+	// stall opens a frame and goes silent. It returns once the server
+	// has registered the connection: a Drain that starts before the
+	// accept loop does sees no connection to wait for.
+	stall := func(t *testing.T, srv *Server, addr string) net.Conn {
 		t.Helper()
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
@@ -124,12 +127,22 @@ func TestDrainBoundedByStalledClient(t *testing.T) {
 		if _, err := conn.Write([]byte{frameReport}); err != nil {
 			t.Fatal(err)
 		}
-		return conn
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			srv.mu.Lock()
+			n := len(srv.conns)
+			srv.mu.Unlock()
+			if n > 0 {
+				return conn
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("server never registered the stalled connection")
+			}
+		}
 	}
 
 	t.Run("no deadline: ctx bounds the wait", func(t *testing.T) {
 		srv, addr := startTestServer(t, proto)
-		conn := stall(t, addr)
+		conn := stall(t, srv, addr)
 		defer conn.Close()
 
 		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
@@ -146,7 +159,7 @@ func TestDrainBoundedByStalledClient(t *testing.T) {
 
 	t.Run("idle deadline force-closes the straggler", func(t *testing.T) {
 		srv, addr := startHardenedServer(t, proto, func(s *Server) { s.IdleTimeout = 100 * time.Millisecond })
-		conn := stall(t, addr)
+		conn := stall(t, srv, addr)
 		defer conn.Close()
 
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -1,0 +1,5 @@
+//go:build !race
+
+package hdr4me
+
+const raceEnabled = false

@@ -14,6 +14,7 @@ import (
 	"github.com/hdr4me/hdr4me/internal/est"
 	"github.com/hdr4me/hdr4me/internal/freq"
 	"github.com/hdr4me/hdr4me/internal/highdim"
+	"github.com/hdr4me/hdr4me/internal/mathx"
 	"github.com/hdr4me/hdr4me/internal/recal"
 	"github.com/hdr4me/hdr4me/internal/transport"
 )
@@ -201,8 +202,14 @@ type Session struct {
 
 	mu    sync.Mutex
 	rng   *RNG
-	obs   uint64 // Observe substream counter
+	obs   uint64 // Observe/Report substream counter
 	epoch uint64 // Run substream counter
+
+	// obsSeed is the seed of the Observe/Report stream, rng.Child(obsStream):
+	// observation i perturbs with the substream seeded
+	// ChildSeed(obsSeed, i), drawn from a pooled RNG reseeded in place.
+	obsSeed uint64
+	obsRNGs sync.Pool
 
 	// Background checkpointer state (WithCheckpointInterval). ckptMu
 	// serializes checkpoint writes (periodic, on-demand, final) and the
@@ -248,6 +255,7 @@ func New(opts ...Option) (*Session, error) {
 		return nil, fmt.Errorf("hdr4me: WithAllocation applies only to the sampled-dimension mean family")
 	}
 	s := &Session{cfg: cfg, workers: cfg.workers, rng: NewRNG(cfg.seed)}
+	s.obsSeed = mathx.ChildSeed(cfg.seed, obsStream)
 	e, err := s.newEstimator()
 	if err != nil {
 		return nil, err
@@ -420,19 +428,16 @@ func (s *Session) Kind() string { return s.est.Kind() }
 
 // Observe perturbs one raw tuple user-side with the session's randomness
 // and accumulates the resulting report. Safe for concurrent use: each call
-// derives its own deterministic substream under the lock and perturbs
-// outside it, so concurrent observers do not serialize on the mechanism —
-// and for the built-in families accumulation rotates deterministically
-// over stripe lanes of the lock-striped estimator, so concurrent
-// observers rarely contend on the accumulation lock either. The rotation
-// is a pure function of the observation counter, so a fixed seed still
-// yields a fixed estimate.
+// claims its observation index under the lock and perturbs outside it on
+// that index's substream, so concurrent observers do not serialize on the
+// mechanism — and for the built-in families accumulation rotates
+// deterministically over stripe lanes of the lock-striped estimator, so
+// concurrent observers rarely contend on the accumulation lock either.
+// The rotation is a pure function of the observation counter, so a fixed
+// seed still yields a fixed estimate.
 func (s *Session) Observe(t Tuple) error {
-	s.mu.Lock()
-	rng := s.rng.Child(obsStream).Child(s.obs)
-	idx := s.obs
-	s.obs++
-	s.mu.Unlock()
+	rng, idx := s.nextObs()
+	defer s.obsRNGs.Put(rng)
 	if s.lanes != nil {
 		rep, err := s.est.(est.Reporter).MakeReport(t, rng)
 		if err != nil {
@@ -441,6 +446,23 @@ func (s *Session) Observe(t Tuple) error {
 		return s.lanes[idx%uint64(len(s.lanes))].AddReport(rep)
 	}
 	return s.ingestEst().Observe(t, rng)
+}
+
+// nextObs claims the next observation index and returns a pooled RNG
+// reseeded on its substream: the same stream as
+// s.rng.Child(obsStream).Child(idx), so a report depends only on the
+// seed and its index. The caller returns rng to s.obsRNGs when done.
+func (s *Session) nextObs() (rng *RNG, idx uint64) {
+	s.mu.Lock()
+	idx = s.obs
+	s.obs++
+	s.mu.Unlock()
+	rng, _ = s.obsRNGs.Get().(*RNG)
+	if rng == nil {
+		rng = NewRNG(0)
+	}
+	rng.Reseed(mathx.ChildSeed(s.obsSeed, idx))
+	return rng, idx
 }
 
 // ingestEst is where ingest surfaces accumulate: the epoch ring for a
@@ -464,10 +486,8 @@ func (s *Session) Report(t Tuple) (Report, error) {
 	if !ok {
 		return Report{}, fmt.Errorf("hdr4me: %s estimator cannot produce detached reports", s.est.Kind())
 	}
-	s.mu.Lock()
-	rng := s.rng.Child(obsStream).Child(s.obs)
-	s.obs++
-	s.mu.Unlock()
+	rng, _ := s.nextObs()
+	defer s.obsRNGs.Put(rng)
 	return rp.MakeReport(t, rng)
 }
 
