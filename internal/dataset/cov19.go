@@ -65,7 +65,7 @@ func (c *COV19Like) Dim() int { return c.D }
 
 // Row implements Dataset.
 func (c *COV19Like) Row(i int, dst []float64) {
-	r := mathx.NewRNG(c.Seed).Child(uint64(i))
+	r := mathx.NewRNG(mathx.ChildSeed(c.Seed, uint64(i)))
 	z := make([]float64, c.K)
 	for k := range z {
 		z[k] = r.Normal(0, 1)

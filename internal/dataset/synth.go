@@ -30,7 +30,7 @@ func (u *Uniform) Dim() int { return u.D }
 
 // Row implements Dataset.
 func (u *Uniform) Row(i int, dst []float64) {
-	r := mathx.NewRNG(u.Seed).Child(uint64(i))
+	r := mathx.NewRNG(mathx.ChildSeed(u.Seed, uint64(i)))
 	for j := 0; j < u.D; j++ {
 		dst[j] = r.Uniform(u.Lo, u.Hi)
 	}
@@ -65,7 +65,7 @@ func (g *Gaussian) Dim() int { return g.D }
 
 // Row implements Dataset.
 func (g *Gaussian) Row(i int, dst []float64) {
-	r := mathx.NewRNG(g.Seed).Child(uint64(i))
+	r := mathx.NewRNG(mathx.ChildSeed(g.Seed, uint64(i)))
 	hot := int(g.SparseFrac * float64(g.D))
 	for j := 0; j < g.D; j++ {
 		mu := 0.0
@@ -112,7 +112,7 @@ func (p *Poisson) Lambda(j int) float64 { return p.lambdas[j] }
 
 // Row implements Dataset.
 func (p *Poisson) Row(i int, dst []float64) {
-	r := mathx.NewRNG(p.Seed).Child(uint64(i))
+	r := mathx.NewRNG(mathx.ChildSeed(p.Seed, uint64(i)))
 	for j := 0; j < p.D; j++ {
 		k := float64(r.Poisson(p.lambdas[j]))
 		dst[j] = mathx.Clamp(k/p.lambdas[j]-1, -1, 1)
@@ -172,7 +172,7 @@ func (ds *Discrete) Dim() int { return ds.D }
 
 // Row implements Dataset.
 func (ds *Discrete) Row(i int, dst []float64) {
-	r := mathx.NewRNG(ds.Seed).Child(uint64(i))
+	r := mathx.NewRNG(mathx.ChildSeed(ds.Seed, uint64(i)))
 	for j := 0; j < ds.D; j++ {
 		u := r.Float64()
 		k := 0

@@ -91,8 +91,8 @@ type Server struct {
 	MaxInflight int
 
 	// SessionTTL bounds how long a disconnected replay session's state
-	// is retained for resumption (default 2m). Sessions are swept
-	// lazily on HELLO traffic.
+	// is retained for resumption (default 2m). Expired sessions are
+	// dropped, oldest first, on HELLO traffic.
 	SessionTTL time.Duration
 
 	reg *est.Registry
@@ -142,6 +142,13 @@ type ServerStats struct {
 	// SessionsResumed counts HELLO frames that re-attached to a live
 	// session — each one a client-side reconnect.
 	SessionsResumed uint64 `json:"sessions_resumed"`
+	// SessionsLive is the number of replay sessions the collector holds
+	// right now, attached or detached.
+	SessionsLive int `json:"sessions_live"`
+	// SessionsEvicted counts sessions dropped before a resume: detached
+	// past SessionTTL, or never sequenced and replaced by a HELLO(0) on
+	// the same connection.
+	SessionsEvicted uint64 `json:"sessions_evicted"`
 	// BatchesDeduped counts sequenced batches that were already applied
 	// and acknowledged from the session record — replays the
 	// exactly-once contract suppressed.
@@ -161,12 +168,15 @@ type ServerStats struct {
 
 // Stats snapshots the server's failure counters.
 func (s *Server) Stats() ServerStats {
+	live, evicted := s.sessions.counts()
 	return ServerStats{
 		ConnsShed:        s.stats.connsShed.Load(),
 		DeadlinesTripped: s.stats.deadlinesTripped.Load(),
 		BatchesShed:      s.stats.batchesShed.Load(),
 		SessionsOpened:   s.stats.sessionsOpened.Load(),
 		SessionsResumed:  s.stats.sessionsResumed.Load(),
+		SessionsLive:     live,
+		SessionsEvicted:  evicted,
 		BatchesDeduped:   s.stats.batchesDeduped.Load(),
 		HellosV2:         s.stats.hellosV2.Load(),
 		CBatches:         s.stats.cbatchFrames.Load(),
@@ -439,7 +449,7 @@ func (s *Server) serveConn(conn net.Conn) error {
 	var sess *connSession
 	defer func() {
 		if sess != nil {
-			s.sessions.detach(sess, conn)
+			s.sessions.detach(sess, conn, time.Now())
 		}
 	}()
 	for {
@@ -769,11 +779,16 @@ func (s *Server) serveHello(br *bufio.Reader, bw *bufio.Writer, conn net.Conn, s
 			return sess, writeHelloReplyBodyV(bw, helloReply{}, negotiated)
 		}
 	}
+	now := time.Now()
 	if sess != nil {
-		s.sessions.detach(sess, conn)
+		if token == 0 {
+			s.sessions.replace(sess, conn, now)
+		} else {
+			s.sessions.detach(sess, conn, now)
+		}
 		sess = nil
 	}
-	s.sessions.sweep(s.sessionTTL())
+	s.sessions.sweep(now, s.sessionTTL())
 	if token == 0 {
 		ns, oerr := s.sessions.open(conn)
 		if oerr != nil {

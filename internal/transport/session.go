@@ -12,8 +12,8 @@ import (
 )
 
 // sessionTTLDefault is how long a detached replay session (its client
-// disconnected, not yet resumed) is retained before the lazy sweep drops
-// it. Override per server with Server.SessionTTL.
+// disconnected, not yet resumed) is retained before a HELLO's sweep
+// drops it. Override per server with Server.SessionTTL.
 const sessionTTLDefault = 2 * time.Minute
 
 // ackRingSize bounds how many recent per-sequence accepted counts a
@@ -47,12 +47,15 @@ const (
 type connSession struct {
 	token uint64
 
-	mu         sync.Mutex
-	conn       net.Conn // owning connection; nil while detached
-	lastSeq    uint64   // highest batch sequence applied (sheds never advance it)
-	accepted   uint64   // cumulative reports accepted across the session
-	acks       [ackRingSize]ackRec
-	lastActive time.Time // detach time, for the TTL sweep
+	mu       sync.Mutex
+	conn     net.Conn // owning connection; nil while detached
+	lastSeq  uint64   // highest batch sequence applied (sheds never advance it)
+	accepted uint64   // cumulative reports accepted across the session
+	acks     [ackRingSize]ackRec
+
+	// Detached-list state, guarded by the table's mu (see sessionTable).
+	prev, next *connSession
+	detachedAt time.Time
 }
 
 // state snapshots the fields a HELLO reply carries.
@@ -128,12 +131,21 @@ func (ss *connSession) commitApply(conn net.Conn, seq uint64, apply func() (int,
 	}
 }
 
-// sessionTable maps live session tokens to their state. Sessions are
-// swept lazily on HELLO traffic: a detached session older than the TTL
-// is dropped, so an unresumed crash leaks nothing permanent.
+// sessionTable maps live session tokens to their state. Its detached
+// sessions (no owning connection) also sit on an intrusive list in
+// detach order, oldest first, so expiry is a pop from the head: each
+// HELLO sweeps only the sessions that have actually expired, O(1)
+// amortized whatever the table's size. A session expires once it has
+// been detached for longer than the TTL; an attached session is never on
+// the list, so it never expires. Lock order: t.mu before ss.mu. The list
+// links and detachedAt are guarded by t.mu, and ss.conn changes only
+// under both locks, so either lock is enough to read it.
 type sessionTable struct {
-	mu sync.Mutex
-	m  map[uint64]*connSession
+	mu      sync.Mutex
+	m       map[uint64]*connSession
+	head    *connSession // oldest detached session
+	tail    *connSession // newest detached session
+	evicted uint64       // sessions dropped by expiry or replacement
 }
 
 // open mints a fresh session owned by conn under a
@@ -160,14 +172,15 @@ func (t *sessionTable) open(conn net.Conn) (*connSession, error) {
 
 // resume re-attaches conn to the token's session, returning the
 // connection it displaced (nil when the session was detached). ok is
-// false for unknown or swept tokens.
+// false for unknown or expired tokens.
 func (t *sessionTable) resume(token uint64, conn net.Conn) (ss *connSession, displaced net.Conn, ok bool) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	ss = t.m[token]
-	t.mu.Unlock()
 	if ss == nil {
 		return nil, nil, false
 	}
+	t.unlink(ss)
 	ss.mu.Lock()
 	displaced = ss.conn
 	ss.conn = conn
@@ -175,30 +188,102 @@ func (t *sessionTable) resume(token uint64, conn net.Conn) (ss *connSession, dis
 	return ss, displaced, true
 }
 
-// detach releases conn's ownership of the session (if it still holds
-// it) and timestamps it for the TTL sweep.
-func (t *sessionTable) detach(ss *connSession, conn net.Conn) {
-	ss.mu.Lock()
-	if ss.conn == conn {
-		ss.conn = nil
-		ss.lastActive = time.Now()
-	}
-	ss.mu.Unlock()
-}
-
-// sweep drops detached sessions idle for longer than ttl.
-func (t *sessionTable) sweep(ttl time.Duration) {
-	now := time.Now()
+// detach releases conn's ownership of the session, if it still holds
+// it, and queues the session for expiry as detached at now. A displaced
+// owner no longer holds the session, so its detach changes nothing.
+func (t *sessionTable) detach(ss *connSession, conn net.Conn, now time.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for token, ss := range t.m {
-		ss.mu.Lock()
-		stale := ss.conn == nil && !ss.lastActive.IsZero() && now.Sub(ss.lastActive) > ttl
-		ss.mu.Unlock()
-		if stale {
-			delete(t.m, token)
-		}
+	if _, ok := ss.release(conn); ok {
+		t.enqueue(ss, now)
 	}
+}
+
+// replace releases conn's session ahead of a HELLO(0) on the same
+// connection. A session that never applied a batch holds nothing a
+// resume could reconcile, so it is dropped at once instead of living out
+// the TTL; any other session is detached at now.
+func (t *sessionTable) replace(ss *connSession, conn net.Conn, now time.Time) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	lastSeq, ok := ss.release(conn)
+	if !ok {
+		return
+	}
+	if lastSeq == 0 {
+		delete(t.m, ss.token)
+		t.evicted++
+		return
+	}
+	t.enqueue(ss, now)
+}
+
+// release clears ss.conn if conn still owns the session, reporting
+// whether it did and the last sequence the session applied. The table's
+// mu must be held (see sessionTable).
+func (ss *connSession) release(conn net.Conn) (lastSeq uint64, ok bool) {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	if ss.conn != conn {
+		return 0, false
+	}
+	ss.conn = nil
+	return ss.lastSeq, true
+}
+
+// enqueue appends a just-released session to the tail of the detached
+// list, stamped now. t.mu must be held.
+func (t *sessionTable) enqueue(ss *connSession, now time.Time) {
+	ss.detachedAt = now
+	ss.prev, ss.next = t.tail, nil
+	if t.tail != nil {
+		t.tail.next = ss
+	} else {
+		t.head = ss
+	}
+	t.tail = ss
+}
+
+// sweep drops the sessions detached for longer than ttl as of now. The
+// list is in detach order, so it stops at the first session still within
+// the TTL. Callers read their clock just before taking t.mu, so two
+// racing detaches may queue out of clock order by that gap; the later
+// one then expires at most that much late, never early.
+func (t *sessionTable) sweep(now time.Time, ttl time.Duration) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for ss := t.head; ss != nil && now.Sub(ss.detachedAt) > ttl; ss = t.head {
+		t.unlink(ss)
+		delete(t.m, ss.token)
+		t.evicted++
+	}
+}
+
+// unlink takes ss off the detached list if it is on it. t.mu must be
+// held.
+func (t *sessionTable) unlink(ss *connSession) {
+	if ss.prev == nil && t.head != ss {
+		return // not queued
+	}
+	if ss.prev != nil {
+		ss.prev.next = ss.next
+	} else {
+		t.head = ss.next
+	}
+	if ss.next != nil {
+		ss.next.prev = ss.prev
+	} else {
+		t.tail = ss.prev
+	}
+	ss.prev, ss.next = nil, nil
+}
+
+// counts returns how many sessions the table holds and how many it has
+// dropped by expiry or replacement.
+func (t *sessionTable) counts() (live int, evicted uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.m), t.evicted
 }
 
 // newSessionToken draws a nonzero random token (zero is the

@@ -15,6 +15,10 @@
 #                deadline trips
 #   3. stall:    -idle-timeout 500ms — a connection stalled mid-frame
 #                is force-closed well within the 3s bound
+#   4. hello-flood: default session TTL — 20k sequential devices each
+#                dial, open a replay session with HELLO(0) and close;
+#                the last tenth's median HELLO stays within 2x the first
+#                tenth's, and /debug/collector counts 20k sessions live
 #
 # Every phase also requires the collector to exit cleanly on SIGTERM
 # afterward: surviving abuse is not enough, it must still drain.
@@ -106,5 +110,13 @@ STATS="$(wait_stats "$WORK/log3")"
 echo "   collector up at $ADDR (stats on $STATS)"
 "$WORK/overloadcheck" -mode stall -addr "$ADDR" -stats "$STATS" -bound 3s
 stop_clean "$WORK/log3"
+
+echo "== phase 4: session-table flood (20000 x dial + HELLO(0) + close)"
+start "$WORK/log4"
+ADDR="$(wait_addr "$WORK/log4")"
+STATS="$(wait_stats "$WORK/log4")"
+echo "   collector up at $ADDR (stats on $STATS)"
+"$WORK/overloadcheck" -mode hello-flood -addr "$ADDR" -stats "$STATS" -n 20000
+stop_clean "$WORK/log4"
 
 echo "overload_e2e: PASS"

@@ -18,6 +18,12 @@
 //	overloadcheck -mode stall -addr HOST:PORT -stats HOST:PORT -bound D
 //	    against -idle-timeout well under D: a connection stalled
 //	    mid-frame must be force-closed within D, with the trip counted.
+//	overloadcheck -mode hello-flood -addr HOST:PORT -stats HOST:PORT -n N
+//	    against a fresh collector: N sequential devices each dial, open
+//	    a replay session with a versioned HELLO(0) and close. The median
+//	    HELLO round trip of the last tenth must stay within 2x that of
+//	    the first tenth (HELLO cost must not grow with the sessions
+//	    held), and the collector must report exactly N sessions live.
 //
 // Every mode cross-checks the collector's failure counters over the
 // /debug/collector JSON endpoint on the -pprof listener.
@@ -29,9 +35,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
+	"slices"
 	"time"
 
 	hdr4me "github.com/hdr4me/hdr4me"
@@ -42,12 +50,24 @@ import (
 // no well-behaved client API will do.
 const frameBatch = 0x06
 
+// The versioned HELLO the flood sends by hand (internal/transport
+// cbatch.go): frame 0x12, then a token field with the versioned flag,
+// protocol version 2 and token 0, which opens a session. The reply is a
+// status byte and a 25-byte body.
+const (
+	frameHello       = 0x12
+	helloOpenV2      = uint64(1)<<63 | uint64(2)<<48
+	helloReplyLenV2  = 1 + 25
+	helloLatencySlop = 2
+)
+
 func main() {
-	mode := flag.String("mode", "", "shed | inflight | stall")
+	mode := flag.String("mode", "", "shed | inflight | stall | hello-flood")
 	addr := flag.String("addr", "", "collector address")
 	stats := flag.String("stats", "", "pprof side-listener address serving /debug/collector")
 	conns := flag.Int("conns", 2, "the collector's -max-conns value (shed)")
 	bound := flag.Duration("bound", 3*time.Second, "force-close deadline for a stalled connection (stall)")
+	n := flag.Int("n", 20000, "devices to flood (hello-flood)")
 	flag.Parse()
 
 	var err error
@@ -58,6 +78,8 @@ func main() {
 		err = inflight(*addr, *stats)
 	case "stall":
 		err = stall(*addr, *stats, *bound)
+	case "hello-flood":
+		err = helloFlood(*addr, *stats, *n)
 	default:
 		err = fmt.Errorf("unknown -mode %q", *mode)
 	}
@@ -288,4 +310,76 @@ func stall(addr, statsAddr string, bound time.Duration) error {
 	fmt.Printf("stalled connection force-closed after %v; collector counts %d deadline trips\n",
 		elapsed.Round(time.Millisecond), st.DeadlinesTripped)
 	return nil
+}
+
+// helloFlood: n sequential devices each dial, open a session with a
+// versioned HELLO(0) and close without sending a batch, so every session
+// stays live (detached) on the collector. A HELLO must cost the same with
+// n sessions held as with none.
+func helloFlood(addr, statsAddr string, n int) error {
+	if n < 10 {
+		return fmt.Errorf("-n %d: need at least 10 devices", n)
+	}
+	lat := make([]time.Duration, n)
+	for i := range lat {
+		d, err := oneHello(addr)
+		if err != nil {
+			return fmt.Errorf("device %d: %w", i, err)
+		}
+		lat[i] = d
+	}
+	first, last := medianOf(lat[:n/10]), medianOf(lat[n-n/10:])
+	fmt.Printf("%d HELLOs: median round trip %v in the first tenth, %v in the last\n",
+		n, first.Round(time.Microsecond), last.Round(time.Microsecond))
+	if last > helloLatencySlop*first {
+		return fmt.Errorf("HELLO slowed as sessions accumulated: last-tenth median %v > %dx first-tenth %v",
+			last, helloLatencySlop, first)
+	}
+	st, err := fetchStats(statsAddr)
+	if err != nil {
+		return err
+	}
+	if st.SessionsLive != n || st.SessionsOpened != uint64(n) || st.SessionsEvicted != 0 {
+		return fmt.Errorf("stats: sessions live %d, opened %d, evicted %d; want %d, %d, 0",
+			st.SessionsLive, st.SessionsOpened, st.SessionsEvicted, n, n)
+	}
+	fmt.Printf("collector holds %d sessions live, none evicted\n", st.SessionsLive)
+	return nil
+}
+
+// oneHello dials, times one versioned HELLO(0) round trip and closes.
+func oneHello(addr string) (time.Duration, error) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return 0, err
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		return 0, err
+	}
+	var req [9]byte
+	req[0] = frameHello
+	binary.BigEndian.PutUint64(req[1:], helloOpenV2)
+	var reply [helloReplyLenV2]byte
+	start := time.Now()
+	if _, err := conn.Write(req[:]); err != nil {
+		return 0, err
+	}
+	if _, err := io.ReadFull(conn, reply[:1]); err != nil {
+		return 0, err
+	}
+	if reply[0] != 0x00 {
+		return 0, fmt.Errorf("HELLO answered with status %#x", reply[0])
+	}
+	if _, err := io.ReadFull(conn, reply[1:]); err != nil {
+		return 0, err
+	}
+	return time.Since(start), nil
+}
+
+// medianOf returns the median of ds, leaving ds untouched.
+func medianOf(ds []time.Duration) time.Duration {
+	s := slices.Clone(ds)
+	slices.Sort(s)
+	return s[len(s)/2]
 }
