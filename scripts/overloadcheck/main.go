@@ -18,12 +18,13 @@
 //	overloadcheck -mode stall -addr HOST:PORT -stats HOST:PORT -bound D
 //	    against -idle-timeout well under D: a connection stalled
 //	    mid-frame must be force-closed within D, with the trip counted.
-//	overloadcheck -mode hello-flood -addr HOST:PORT -stats HOST:PORT -n N
-//	    against a fresh collector: N sequential devices each dial, open
-//	    a replay session with a versioned HELLO(0) and close. The median
-//	    HELLO round trip of the last tenth must stay within 2x that of
-//	    the first tenth (HELLO cost must not grow with the sessions
-//	    held), and the collector must report exactly N sessions live.
+//	overloadcheck -mode hello-flood -addr HOST:PORT -stats HOST:PORT
+//	    against a fresh collector: 20000 sequential devices each dial,
+//	    open a replay session with a versioned HELLO(0) and close. The
+//	    median HELLO round trip of the last tenth must stay within 2x
+//	    that of the first tenth (HELLO cost must not grow with the
+//	    sessions held), and the collector must report every device's
+//	    session live.
 //
 // Every mode cross-checks the collector's failure counters over the
 // /debug/collector JSON endpoint on the -pprof listener.
@@ -35,7 +36,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -50,15 +50,11 @@ import (
 // no well-behaved client API will do.
 const frameBatch = 0x06
 
-// The versioned HELLO the flood sends by hand (internal/transport
-// cbatch.go): frame 0x12, then a token field with the versioned flag,
-// protocol version 2 and token 0, which opens a session. The reply is a
-// status byte and a 25-byte body.
+// The hello-flood's size, and how far its last tenth's median HELLO may
+// exceed its first tenth's.
 const (
-	frameHello       = 0x12
-	helloOpenV2      = uint64(1)<<63 | uint64(2)<<48
-	helloReplyLenV2  = 1 + 25
-	helloLatencySlop = 2
+	helloFloodDevices = 20000
+	helloLatencySlop  = 2
 )
 
 func main() {
@@ -67,7 +63,6 @@ func main() {
 	stats := flag.String("stats", "", "pprof side-listener address serving /debug/collector")
 	conns := flag.Int("conns", 2, "the collector's -max-conns value (shed)")
 	bound := flag.Duration("bound", 3*time.Second, "force-close deadline for a stalled connection (stall)")
-	n := flag.Int("n", 20000, "devices to flood (hello-flood)")
 	flag.Parse()
 
 	var err error
@@ -79,7 +74,7 @@ func main() {
 	case "stall":
 		err = stall(*addr, *stats, *bound)
 	case "hello-flood":
-		err = helloFlood(*addr, *stats, *n)
+		err = helloFlood(*addr, *stats)
 	default:
 		err = fmt.Errorf("unknown -mode %q", *mode)
 	}
@@ -312,14 +307,12 @@ func stall(addr, statsAddr string, bound time.Duration) error {
 	return nil
 }
 
-// helloFlood: n sequential devices each dial, open a session with a
+// helloFlood: sequential devices each dial, open a session with a
 // versioned HELLO(0) and close without sending a batch, so every session
 // stays live (detached) on the collector. A HELLO must cost the same with
-// n sessions held as with none.
-func helloFlood(addr, statsAddr string, n int) error {
-	if n < 10 {
-		return fmt.Errorf("-n %d: need at least 10 devices", n)
-	}
+// all those sessions held as with none.
+func helloFlood(addr, statsAddr string) error {
+	const n = helloFloodDevices
 	lat := make([]time.Duration, n)
 	for i := range lat {
 		d, err := oneHello(addr)
@@ -347,31 +340,17 @@ func helloFlood(addr, statsAddr string, n int) error {
 	return nil
 }
 
-// oneHello dials, times one versioned HELLO(0) round trip and closes.
+// oneHello dials, times one HELLO(0) round trip and closes. The client
+// is not pinned to protocol v1, so its HELLO is the versioned one.
 func oneHello(addr string) (time.Duration, error) {
-	conn, err := net.Dial("tcp", addr)
+	cl, err := hdr4me.DialCollector(addr)
 	if err != nil {
 		return 0, err
 	}
-	defer conn.Close()
-	if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		return 0, err
-	}
-	var req [9]byte
-	req[0] = frameHello
-	binary.BigEndian.PutUint64(req[1:], helloOpenV2)
-	var reply [helloReplyLenV2]byte
+	defer cl.Close()
+	cl.SetTimeout(5 * time.Second)
 	start := time.Now()
-	if _, err := conn.Write(req[:]); err != nil {
-		return 0, err
-	}
-	if _, err := io.ReadFull(conn, reply[:1]); err != nil {
-		return 0, err
-	}
-	if reply[0] != 0x00 {
-		return 0, fmt.Errorf("HELLO answered with status %#x", reply[0])
-	}
-	if _, err := io.ReadFull(conn, reply[1:]); err != nil {
+	if _, err := cl.Hello(0); err != nil {
 		return 0, err
 	}
 	return time.Since(start), nil
